@@ -24,9 +24,9 @@ from .errors import (AuthenticationError, FormatError, ProtocolStateError,
                      PufStackError, ValidationError)
 from .harness import (AttackConfig, ScenarioConfig, harvest_crps,
                       modeling_attack, run_scenario)
-from .metrics import (FilterBand, band_sweep, compute_metrics, decision_rates,
-                      population_responses)
-from .puf import Challenge, create_puf
+from .metrics import (FilterBand, MetricsReport, band_sweep, compute_metrics,
+                      decision_rates, pairwise_hd, population_responses)
+from .puf import challenge_matrix, create_puf
 from .xof import derive_rng, expand
 
 EXIT_OK = 0
@@ -59,12 +59,6 @@ def _write_manifest(args, out: Path):
     })
 
 
-def _shared_challenges(seed: bytes, length: int, count: int) -> list[Challenge]:
-    from .xof import expand_bits
-    bits = expand_bits(seed, "cli-challenges", count * length).reshape(count, length)
-    return [Challenge(row) for row in bits]
-
-
 # -- subcommands ----------------------------------------------------------
 
 def cmd_gen(args) -> int:
@@ -91,25 +85,29 @@ def _load_devices(paths) -> list:
     return [load_puf(p) for p in paths]
 
 
+def _population_report(args, pufs, noise_label: str) -> MetricsReport:
+    """Metrics of ``pufs`` on the run's shared challenges; FAR/FRR only when
+    there are noisy re-reads to give genuine distances."""
+    seed = _seed_bytes(args.seed)
+    challenges = challenge_matrix(seed, "cli-challenges", args.challenges,
+                                  pufs[0].challenge_len)
+    golden, _, reevals = population_responses(pufs, challenges, args.reevals,
+                                              derive_rng(seed, noise_label))
+    report = compute_metrics(golden, reevals)
+    if reevals is not None:
+        genuine = np.mean(reevals != golden[None], axis=2).ravel()
+        impostor = (pairwise_hd(golden)[np.triu_indices(len(pufs), k=1)]
+                    / golden.shape[1])
+        report.far, report.frr = decision_rates(genuine, impostor, args.hd_threshold)
+    return report
+
+
 def cmd_metrics(args) -> int:
     out = _outdir(args)
     pufs = _load_devices(args.devices)
     if len(pufs) < 2:
         raise ValidationError("inter-device metrics need >= 2 device files")
-    seed = _seed_bytes(args.seed)
-    challenges = _shared_challenges(seed, pufs[0].challenge_len, args.challenges)
-    noise_rng = derive_rng(seed, "cli-metrics-noise")
-    golden, _, reevals = population_responses(pufs, challenges, args.reevals,
-                                              noise_rng)
-    report = compute_metrics(golden, reevals)
-
-    genuine = np.mean(reevals != golden[None], axis=2).ravel() if reevals is not None else None
-    iu = np.triu_indices(len(pufs), k=1)
-    impostor = (np.array([[np.mean(golden[i] != golden[j]) for j in range(len(pufs))]
-                          for i in range(len(pufs))]))[iu]
-    if genuine is not None:
-        report.far, report.frr = decision_rates(genuine, impostor, args.hd_threshold)
-
+    report = _population_report(args, pufs, "cli-metrics-noise")
     write_kv(out / "metrics.kv", report.to_kv())
     with open(out / "per_bit.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -140,7 +138,8 @@ def cmd_sweep_filter(args) -> int:
     out = _outdir(args)
     pufs = _load_devices(args.devices)
     seed = _seed_bytes(args.seed)
-    challenges = _shared_challenges(seed, pufs[0].challenge_len, args.challenges)
+    challenges = challenge_matrix(seed, "cli-challenges", args.challenges,
+                                  pufs[0].challenge_len)
     noise_rng = derive_rng(seed, "cli-sweep-noise")
     golden, margins, reevals = population_responses(pufs, challenges,
                                                     args.reevals, noise_rng)
@@ -236,16 +235,7 @@ def cmd_bench(args) -> int:
     seed = _seed_bytes(args.seed)
     pufs = [create_puf("photonic", expand(seed, f"bench-device-{i}", 32))
             for i in range(args.devices)]
-    challenges = _shared_challenges(seed, 64, args.challenges)
-    noise_rng = derive_rng(seed, "bench-noise")
-    golden, _, reevals = population_responses(pufs, challenges, args.reevals,
-                                              noise_rng)
-    report = compute_metrics(golden, reevals)
-    genuine = np.mean(reevals != golden[None], axis=2).ravel()
-    iu = np.triu_indices(len(pufs), k=1)
-    impostor = np.array([[np.mean(golden[i] != golden[j]) for j in range(len(pufs))]
-                         for i in range(len(pufs))])[iu]
-    report.far, report.frr = decision_rates(genuine, impostor, args.hd_threshold)
+    report = _population_report(args, pufs, "bench-noise")
     write_kv(out / "bench.kv", report.to_kv())
     for key, value in report.to_kv().items():
         print(f"{key} = {value}")

@@ -14,28 +14,21 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..errors import ValidationError
-from ..puf import Challenge, CrpRecord, PufInstance, parity_features
+from ..puf import CrpBatch, PufInstance, parity_features
 
 
 def harvest_crps(puf: PufInstance, n: int,
                  challenge_rng: Optional[np.random.Generator] = None,
-                 noise_rng: Optional[np.random.Generator] = None,
-                 device_id: Optional[str] = None) -> list[CrpRecord]:
+                 noise_rng: Optional[np.random.Generator] = None) -> CrpBatch:
     """Record n challenge-response pairs under uniform random challenges."""
     if n < 1:
         raise ValidationError("harvest needs n >= 1")
     if challenge_rng is None:
         challenges = puf.random_challenges("harvest", n)
     else:
-        challenges = [Challenge.random(challenge_rng, puf.challenge_len)
-                      for _ in range(n)]
-    responses = puf.evaluate_many(challenges, noise_rng)
-    out = []
-    for c, r in zip(challenges, responses):
-        margins = np.abs(r.analog - puf.thresholds)
-        out.append(CrpRecord(c, r, margins, device_id=device_id,
-                             temperature_delta=puf.env.temperature_delta))
-    return out
+        challenges = challenge_rng.integers(0, 2, size=(n, puf.challenge_len),
+                                            dtype=np.uint8)
+    return puf.evaluate_many(challenges, noise_rng)
 
 
 @dataclass
@@ -86,25 +79,28 @@ def fit_logistic(features: np.ndarray, labels: np.ndarray,
     return w
 
 
-def modeling_attack(crps_train: Sequence[CrpRecord],
-                    crps_test: Sequence[CrpRecord],
+def _packed_rows(challenges: np.ndarray) -> list[bytes]:
+    return [row.tobytes() for row in np.packbits(challenges, axis=1)]
+
+
+def modeling_attack(crps_train: CrpBatch, crps_test: CrpBatch,
                     config: Optional[AttackConfig] = None) -> ModelingAttackResult:
     """Fit one linear-threshold model per target response bit."""
     config = config if config is not None else AttackConfig()
-    if not crps_train or not crps_test:
+    if len(crps_train) == 0 or len(crps_test) == 0:
         raise ValidationError("attack needs non-empty train and test sets")
-    train_keys = {r.challenge.to_bytes() for r in crps_train}
-    if any(r.challenge.to_bytes() in train_keys for r in crps_test):
+    train_keys = set(_packed_rows(crps_train.challenges))
+    if any(key in train_keys for key in _packed_rows(crps_test.challenges)):
         raise ValidationError("test challenges must be disjoint from training")
 
-    x_train = parity_features(np.stack([r.challenge.bits for r in crps_train]))
-    x_test = parity_features(np.stack([r.challenge.bits for r in crps_test]))
+    x_train = parity_features(crps_train.challenges)
+    x_test = parity_features(crps_test.challenges)
     status = "ok"
     per_bit: dict[int, float] = {}
     train_accs = []
     for b in config.target_bits:
-        y_train = np.array([r.response.bits[b] for r in crps_train], dtype=np.float64)
-        y_test = np.array([r.response.bits[b] for r in crps_test], dtype=np.float64)
+        y_train = crps_train.bits[:, b].astype(np.float64)
+        y_test = crps_test.bits[:, b].astype(np.float64)
         if y_train.min() == y_train.max():
             # single-class training set: trivial constant classifier
             status = "degenerate"

@@ -1,15 +1,13 @@
-"""Population-level PUF quality metrics and margin-band CRP filtering."""
+"""Population-level PUF quality metrics and the margin-band sweep."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import erfc, sqrt
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
-from .puf.base import CrpRecord
 
 
 def _as_bit_matrix(matrix) -> np.ndarray:
@@ -60,6 +58,18 @@ class MetricsReport:
             yield j, float(p), float(h)
 
 
+def pairwise_hd(matrix) -> np.ndarray:
+    """(D, D) Hamming distances between the rows of a 0/1 matrix.
+
+    Computed from inner products; every entry is an integer below 2**53, so
+    the float result is exact.
+    """
+    fm = _as_bit_matrix(matrix).astype(np.float64)
+    gram = fm @ fm.T
+    ones = fm.sum(axis=1)
+    return ones[:, None] + ones[None, :] - 2 * gram
+
+
 def compute_metrics(matrix, revaluations=None) -> MetricsReport:
     """Uniformity, uniqueness, bit-aliasing entropy, optional reliability.
 
@@ -73,15 +83,11 @@ def compute_metrics(matrix, revaluations=None) -> MetricsReport:
 
     uniformity = float(mat.mean())
 
-    fm = mat.astype(np.float64)
-    gram = fm @ fm.T
-    ones = fm.sum(axis=1)
-    # pairwise Hamming distance via inner products
-    hd = ones[:, None] + ones[None, :] - 2 * gram
+    hd = pairwise_hd(mat)
     iu = np.triu_indices(d, k=1)
     uniqueness = float(np.mean(hd[iu]) / mat.shape[1])
 
-    p = fm.mean(axis=0)
+    p = mat.astype(np.float64).mean(axis=0)
     entropy = bit_entropy(p)
 
     reliability = None
@@ -120,102 +126,29 @@ class FilterBand:
         return (m >= self.delta_min) & (m <= self.delta_max)
 
 
-@dataclass
-class FilteredCrp:
-    record: CrpRecord
-    mask: np.ndarray  # boolean keep-mask over response bits
-
-
-@dataclass
-class FilterReport:
-    retention: float
-    predicted_reliability: Optional[float]
-    predicted_alias_entropy: Optional[float]
-    status: str = "ok"  # "ok" or "empty"
-
-
-def _gauss_keep_prob(margins: np.ndarray, sigma: float) -> np.ndarray:
-    # probability a bit with this noiseless margin does not flip
-    z = margins / (sigma * sqrt(2.0))
-    return 1.0 - 0.5 * np.array([erfc(v) for v in z])
-
-
-def filter_crps(crps: Sequence[CrpRecord], band: FilterBand,
-                noise_sigma: float = 0.02) -> tuple[list[FilteredCrp], FilterReport]:
-    """Keep response bits whose analog margin falls inside the band.
-
-    Predicted reliability uses the Gaussian read-noise model on the kept
-    margins; predicted aliasing entropy is empirical, over cells where at
-    least two devices answered the same challenge and kept the bit.
-    """
-    if len(crps) == 0:
-        raise ValidationError("filter_crps needs at least one record")
-
-    kept: list[FilteredCrp] = []
-    margins_kept: list[np.ndarray] = []
-    for rec in crps:
-        mask = band.contains(rec.margins)
-        kept.append(FilteredCrp(rec, mask))
-        if mask.any():
-            margins_kept.append(np.abs(rec.margins)[mask])
-
-    total = sum(len(r.margins) for r in crps)
-    n_kept = sum(int(f.mask.sum()) for f in kept)
-    if n_kept == 0:
-        return kept, FilterReport(0.0, None, None, status="empty")
-
-    retention = n_kept / total
-    all_margins = np.concatenate(margins_kept)
-    pred_rel = float(np.mean(_gauss_keep_prob(all_margins, noise_sigma)))
-
-    # group by challenge across devices for the aliasing estimate
-    groups: dict[bytes, list[FilteredCrp]] = {}
-    for f in kept:
-        groups.setdefault(f.record.challenge.to_bytes(), []).append(f)
-    cell_entropies: list[float] = []
-    for members in groups.values():
-        if len(members) < 2:
-            continue
-        nbits = len(members[0].record.response.bits)
-        for j in range(nbits):
-            votes = [int(f.record.response.bits[j]) for f in members if f.mask[j]]
-            if len(votes) >= 2:
-                cell_entropies.append(float(bit_entropy(np.array([np.mean(votes)]))[0]))
-    pred_alias = float(np.mean(cell_entropies)) if cell_entropies else None
-
-    return kept, FilterReport(retention, pred_rel, pred_alias)
-
-
 def population_responses(pufs, challenges, n_reevals: int = 0,
                          noise_rng: Optional[np.random.Generator] = None):
-    """Evaluate a device population on a shared challenge list.
+    """Evaluate a device population on shared challenges: an (N, L) bit
+    matrix, or a list of challenges.
 
     Returns (golden, margins, reevals): golden and margins are (D, N) with
     N = challenges * bits, reevals is (R, D, N) noisy re-reads (or None
     when n_reevals == 0). Golden responses are noiseless.
     """
+    challenges = np.asarray(challenges, dtype=np.uint8)
     if len(pufs) == 0 or len(challenges) == 0:
         raise ValidationError("population needs devices and challenges")
-    golden_rows, margin_rows = [], []
-    for puf in pufs:
-        resp = puf.evaluate_many(challenges, None)
-        golden_rows.append(np.concatenate([r.bits for r in resp]))
-        margin_rows.append(np.concatenate(
-            [np.abs(r.analog - puf.thresholds) for r in resp]))
-    golden = np.stack(golden_rows)
-    margins = np.stack(margin_rows)
+    batches = [puf.evaluate_many(challenges) for puf in pufs]
+    golden = np.stack([b.bits.ravel() for b in batches])
+    margins = np.stack([b.margins.ravel() for b in batches])
     reevals = None
     if n_reevals > 0:
         if noise_rng is None:
             raise ValidationError("re-evaluations need a noise rng")
-        reps = []
-        for _ in range(n_reevals):
-            rows = []
-            for puf in pufs:
-                resp = puf.evaluate_many(challenges, noise_rng)
-                rows.append(np.concatenate([r.bits for r in resp]))
-            reps.append(np.stack(rows))
-        reevals = np.stack(reps)
+        reevals = np.stack([
+            np.stack([puf.evaluate_many(challenges, noise_rng).bits.ravel()
+                      for puf in pufs])
+            for _ in range(n_reevals)])
     return golden, margins, reevals
 
 

@@ -264,5 +264,5 @@ def enroll_secret(puf: PufInstance, label: str = "provisioning",
                   votes: int = 9) -> bytes:
     """Manufacturing-time shared secret: response to a fixed enrollment
     challenge derived from the device seed."""
-    challenge = puf.random_challenges(label, 1)[0]
+    challenge = Challenge(puf.random_challenges(label, 1)[0])
     return stabilized_response(puf, challenge, noise_rng, votes).to_bytes()

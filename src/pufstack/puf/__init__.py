@@ -8,8 +8,8 @@ import numpy as np
 
 from ..errors import ValidationError
 from .arbiter import ArbiterParams, ArbiterPuf, parity_features
-from .base import (Challenge, CrpRecord, EnvironmentState, PufInstance,
-                   Response, SUPPORTED_CHALLENGE_LENGTHS)
+from .base import (Challenge, CrpBatch, EnvironmentState, PufInstance,
+                   Response, SUPPORTED_CHALLENGE_LENGTHS, challenge_matrix)
 from .photonic import PhotonicParams, PhotonicPuf
 from .sram import SramPuf
 
@@ -70,13 +70,6 @@ def create_puf(kind: str, device_seed: Union[bytes, int, str],
     return puf
 
 
-def calibrate_thresholds(puf: PufInstance, n_samples: int) -> np.ndarray:
-    """Recompute per-tap quantization thresholds from noiseless medians."""
-    if not isinstance(puf, PhotonicPuf):
-        raise ValidationError("threshold calibration applies to photonic devices")
-    return puf.calibrate(n_samples)
-
-
 def composite_evaluate(photonic_puf: PufInstance, sram_puf: SramPuf,
                        challenge: Challenge,
                        noise_draw: Optional[np.random.Generator] = None) -> Response:
@@ -111,9 +104,9 @@ def stabilized_response(puf: PufInstance, challenge: Challenge,
 
 
 __all__ = [
-    "ArbiterParams", "ArbiterPuf", "Challenge", "CrpRecord",
+    "ArbiterParams", "ArbiterPuf", "Challenge", "CrpBatch",
     "EnvironmentState", "PhotonicParams", "PhotonicPuf", "PufInstance",
     "Response", "SramPuf", "SUPPORTED_CHALLENGE_LENGTHS", "KINDS",
-    "calibrate_thresholds", "coerce_seed", "composite_evaluate",
+    "challenge_matrix", "coerce_seed", "composite_evaluate",
     "create_puf", "parity_features", "stabilized_response",
 ]

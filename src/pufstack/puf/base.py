@@ -1,4 +1,4 @@
-"""Shared PUF types: challenges, responses, environment, CRP records."""
+"""Shared PUF types: challenges, responses, environment, CRP batches."""
 
 from __future__ import annotations
 
@@ -13,6 +13,21 @@ from ..xof import bits_to_bytes, bytes_to_bits, derive_rng, expand_bits
 SUPPORTED_CHALLENGE_LENGTHS = (32, 64, 128)
 
 
+def _challenge_bits(bits, ndim: int) -> np.ndarray:
+    """``bits`` as a uint8 array of rank ``ndim`` whose entries are all 0/1."""
+    arr = np.asarray(bits, dtype=np.uint8)
+    if arr.ndim != ndim:
+        raise ValidationError(f"challenge bits must be a {ndim}-D array")
+    if arr.max(initial=0) > 1:
+        raise ValidationError("challenge bits must be 0/1")
+    return arr
+
+
+def challenge_matrix(seed: bytes, label: str, count: int, length: int) -> np.ndarray:
+    """Deterministic uniform challenges, (count, length), expanded from a seed."""
+    return expand_bits(seed, label, count * length).reshape(count, length)
+
+
 @dataclass(frozen=True)
 class Challenge:
     """A fixed-length challenge bit-string (MSB-first when serialized)."""
@@ -20,15 +35,14 @@ class Challenge:
     bits: np.ndarray
 
     def __post_init__(self):
-        bits = np.asarray(self.bits, dtype=np.uint8)
-        if bits.ndim != 1:
-            raise ValidationError("challenge bits must be a 1-D array")
-        if not np.isin(bits, (0, 1)).all():
-            raise ValidationError("challenge bits must be 0/1")
-        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "bits", _challenge_bits(self.bits, 1))
 
     def __len__(self) -> int:
         return len(self.bits)
+
+    def __array__(self, dtype=None, copy=None):
+        # lets np.asarray stack a list of challenges into a bit matrix
+        return np.array(self.bits, dtype=dtype, copy=copy)
 
     def to_bytes(self) -> bytes:
         return bits_to_bytes(self.bits)
@@ -83,15 +97,26 @@ class EnvironmentState:
             raise ValidationError("noise_sigma must be >= 0")
 
 
-@dataclass
-class CrpRecord:
-    """One harvested challenge-response pair with its analog margins."""
+@dataclass(frozen=True)
+class CrpBatch:
+    """N challenge-response pairs as aligned rows.
 
-    challenge: Challenge
-    response: Response
+    ``challenges`` is (N, L); ``bits``, ``analog`` and ``margins`` are (N, M),
+    where ``margins`` is |analog - thresholds|, the distance of each read
+    from its quantization threshold.
+    """
+
+    challenges: np.ndarray
+    bits: np.ndarray
+    analog: np.ndarray
     margins: np.ndarray
-    device_id: Optional[str] = None
-    temperature_delta: float = 0.0
+
+    def __len__(self) -> int:
+        return len(self.challenges)
+
+    def __getitem__(self, rows: slice) -> "CrpBatch":
+        return CrpBatch(self.challenges[rows], self.bits[rows],
+                        self.analog[rows], self.margins[rows])
 
 
 class PufInstance:
@@ -137,30 +162,30 @@ class PufInstance:
     def evaluate(self, challenge: Challenge,
                  noise_draw: Optional[np.random.Generator] = None) -> Response:
         """Evaluate one challenge. ``noise_draw=None`` means noiseless."""
-        self._check_challenge(challenge)
-        analog = self.evaluate_analog(challenge.bits[None, :])[0]
-        if noise_draw is not None and self.env.noise_sigma > 0:
-            analog = analog + noise_draw.normal(0.0, self.env.noise_sigma, size=analog.shape)
-        bits = (analog >= self.thresholds).astype(np.uint8)
-        return Response(bits, analog)
+        batch = self.evaluate_many(challenge.bits[None, :], noise_draw)
+        return Response(batch.bits[0], batch.analog[0])
 
-    def evaluate_many(self, challenges: list[Challenge],
-                      noise_draw: Optional[np.random.Generator] = None) -> list[Response]:
-        for c in challenges:
-            self._check_challenge(c)
-        mat = np.stack([c.bits for c in challenges])
+    def evaluate_many(self, challenges,
+                      noise_draw: Optional[np.random.Generator] = None) -> CrpBatch:
+        """Evaluate an (N, L) challenge bit matrix, or anything np.asarray
+        turns into one, such as a list of challenges."""
+        mat = _challenge_bits(challenges, 2)
+        if mat.shape[1] != self.challenge_len:
+            raise ChallengeShapeError(
+                f"challenge length {mat.shape[1]} != device L={self.challenge_len}"
+            )
         analog = self.evaluate_analog(mat)
         if noise_draw is not None and self.env.noise_sigma > 0:
             analog = analog + noise_draw.normal(0.0, self.env.noise_sigma, size=analog.shape)
-        bits = (analog >= self.thresholds[None, :]).astype(np.uint8)
-        return [Response(b, a) for b, a in zip(bits, analog)]
+        if not np.isfinite(analog).all():
+            raise ValidationError("analog response values must be finite")
+        bits = (analog >= self.thresholds).astype(np.uint8)
+        return CrpBatch(mat, bits, analog, np.abs(analog - self.thresholds))
 
     def noise_rng(self, label: str = "noise") -> np.random.Generator:
         """Convenience: a reproducible noise stream bound to this device."""
         return derive_rng(self.device_seed, "env-" + label)
 
-    def random_challenges(self, label: str, count: int) -> list[Challenge]:
-        """Deterministic uniform challenges derived from the device seed."""
-        bits = expand_bits(self.device_seed, label, count * self.challenge_len)
-        mat = bits.reshape(count, self.challenge_len)
-        return [Challenge(row) for row in mat]
+    def random_challenges(self, label: str, count: int) -> np.ndarray:
+        """Deterministic uniform (count, L) challenges derived from the device seed."""
+        return challenge_matrix(self.device_seed, label, count, self.challenge_len)

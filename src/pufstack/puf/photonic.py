@@ -53,7 +53,7 @@ from typing import Optional
 import numpy as np
 
 from ..errors import ValidationError
-from ..xof import derive_rng, expand_bits
+from ..xof import derive_rng
 from .base import Challenge, EnvironmentState, PufInstance
 
 GRID_BITS = 20                 # fabricated values are multiples of 2^-20
@@ -354,11 +354,6 @@ class PhotonicPuf(PufInstance):
 
     # -- calibration ------------------------------------------------------
 
-    def _calibration_challenges(self, n_samples: int) -> np.ndarray:
-        bits = expand_bits(self.device_seed, "calibration-challenges",
-                           n_samples * self.challenge_len)
-        return bits.reshape(n_samples, self.challenge_len)
-
     def calibrate(self, n_samples: int) -> np.ndarray:
         """Set gain and per-tap thresholds from noiseless medians.
 
@@ -370,7 +365,8 @@ class PhotonicPuf(PufInstance):
         """
         if n_samples < 100:
             raise ValidationError("calibration needs n_samples >= 100")
-        raw = self.raw_intensities(self._calibration_challenges(n_samples))
+        raw = self.raw_intensities(
+            self.random_challenges("calibration-challenges", n_samples))
         self.gain = self.params.target_mean * raw.size / math.fsum(raw.ravel())
         self._thresholds = np.median(self.gain * raw, axis=0)
         return self._thresholds

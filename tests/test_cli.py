@@ -166,6 +166,16 @@ class TestBench:
         assert 0.3 <= float(kv["uniqueness"]) <= 0.7
         assert "far" in kv and "frr" in kv
 
+    def test_bench_without_reevals_reports_no_rates(self, tmp_path):
+        # no re-reads means no genuine distances, so FAR/FRR are undefined
+        out = tmp_path / "bench"
+        code = run(["bench", "--devices", 3, "--challenges", 4,
+                    "--reevals", 0, "--out", out])
+        assert code == 0
+        kv = read_kv(out / "bench.kv")
+        assert "uniqueness" in kv
+        assert "far" not in kv and "frr" not in kv
+
 
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:

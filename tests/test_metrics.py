@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -7,9 +8,9 @@ from hypothesis import strategies as st
 
 from pufstack.errors import ValidationError
 from pufstack.metrics import (FilterBand, band_sweep, bit_entropy,
-                              compute_metrics, decision_rates, filter_crps,
+                              compute_metrics, decision_rates,
                               population_responses)
-from pufstack.puf import Challenge, CrpRecord, Response, create_puf
+from pufstack.puf import Challenge, create_puf
 
 
 def naive_metrics(mat):
@@ -88,14 +89,6 @@ def test_bit_entropy_peak_at_half():
     assert float(bit_entropy(np.array([1.0]))[0]) == 0.0
 
 
-def _record(margins, bits=None, challenge_bits=None):
-    m = np.asarray(margins, dtype=np.float64)
-    bits = np.zeros(m.size, dtype=np.uint8) if bits is None else np.asarray(bits, dtype=np.uint8)
-    c = (np.zeros(32, dtype=np.uint8) if challenge_bits is None
-         else np.asarray(challenge_bits, dtype=np.uint8))
-    return CrpRecord(Challenge(c), Response(bits, m), np.abs(m))
-
-
 class TestFilterBand:
     def test_band_validation(self):
         with pytest.raises(ValidationError):
@@ -109,40 +102,16 @@ class TestFilterBand:
         mask = band.contains(np.array([0.05, 0.1, 0.2, 0.3, 0.31, -0.2]))
         assert mask.tolist() == [False, True, True, True, False, True]
 
-    def test_filter_keeps_in_band_bits(self):
-        rec = _record([0.05, 0.15, 0.25, 0.50])
-        kept, rep = filter_crps([rec], FilterBand(0.1, 0.3))
-        assert kept[0].mask.tolist() == [False, True, True, False]
-        assert rep.retention == 0.5
-        assert rep.status == "ok"
-
-    def test_filter_empty_band(self):
-        rec = _record([0.05, 0.06])
-        kept, rep = filter_crps([rec], FilterBand(0.5, 0.6))
-        assert rep.status == "empty"
-        assert rep.retention == 0.0
-        assert rep.predicted_reliability is None
-
-    def test_predicted_reliability_monotone_in_delta_min(self):
-        rng = np.random.default_rng(11)
-        recs = [_record(rng.uniform(0, 0.4, size=64)) for _ in range(4)]
-        last = 0.0
-        for dmin in (0.0, 0.05, 0.1, 0.2):
-            _, rep = filter_crps(recs, FilterBand(dmin, 1.0))
-            assert rep.predicted_reliability >= last
-            last = rep.predicted_reliability
-
     def test_aliasing_needs_shared_challenges(self):
         # two devices answering the same challenge with opposite bits
-        c = np.ones(32, dtype=np.uint8)
-        a = _record([0.2, 0.2], bits=[0, 1], challenge_bits=c)
-        b = _record([0.2, 0.2], bits=[1, 0], challenge_bits=c)
-        _, rep = filter_crps([a, b], FilterBand(0.1, 0.3))
-        assert rep.predicted_alias_entropy == pytest.approx(1.0)
+        margins = np.full((2, 2), 0.2)
+        rows = band_sweep(np.array([[0, 1], [1, 0]]), margins, None,
+                          [FilterBand(0.1, 0.3)])
+        assert rows[0].mean_alias_entropy == pytest.approx(1.0)
 
-        solo = _record([0.2, 0.2])
-        _, rep = filter_crps([solo], FilterBand(0.1, 0.3))
-        assert rep.predicted_alias_entropy is None
+        rows = band_sweep(np.array([[0, 1]]), margins[:1], None,
+                          [FilterBand(0.1, 0.3)])
+        assert rows[0].mean_alias_entropy is None
 
 
 class TestBandSweep:
@@ -207,7 +176,25 @@ def test_population_responses_shapes():
     assert golden.shape == (3, 256)
     assert margins.shape == (3, 256)
     assert reevals.shape == (2, 3, 256)
+    matrix = np.stack([c.bits for c in chals])
+    assert np.array_equal(population_responses(pufs, matrix)[0], golden)
     with pytest.raises(ValidationError):
         population_responses(pufs, chals, n_reevals=2, noise_rng=None)
     with pytest.raises(ValidationError):
         population_responses([], chals)
+
+
+def test_population_responses_pinned():
+    # exact integer device arithmetic: these digests hold on every machine
+    pufs = [create_puf("photonic", 7100 + i) for i in range(3)]
+    rng = np.random.default_rng(12)
+    chals = [Challenge.random(rng, 64) for _ in range(6)]
+    golden, margins, reevals = population_responses(
+        pufs, chals, n_reevals=2, noise_rng=np.random.default_rng(13))
+    digests = [hashlib.sha256(a.tobytes()).hexdigest()
+               for a in (golden, margins, reevals)]
+    assert digests == [
+        "48c0a613d2ed7b52dafffc55dab428d8952e17872ade44b575ce197fae387b9f",
+        "1f6b25285d2880d7e3adaf6f345d95bf2b3b07ff1aa54240a888b923e6c9bd59",
+        "f4d691c8d79a0778d36c579c17dd1f78a8d1c8294f2e19184153b6c4cebee8b5",
+    ]

@@ -12,9 +12,8 @@ from pufstack.config import load_puf, puf_from_kv, puf_to_kv, save_puf
 from pufstack.errors import ChallengeShapeError, ValidationError
 from pufstack.protocols.attest import _response_to_challenge
 from pufstack.protocols.auth import derive_next_challenge, enroll_secret
-from pufstack.puf import (Challenge, PhotonicParams, calibrate_thresholds,
-                          composite_evaluate, create_puf, parity_features,
-                          stabilized_response)
+from pufstack.puf import (Challenge, PhotonicParams, composite_evaluate,
+                          create_puf, parity_features, stabilized_response)
 from pufstack.puf.photonic import cascade_bounds, phase_table
 from pufstack.xof import derive_rng
 
@@ -87,6 +86,14 @@ class TestEvaluate:
         puf = photonic()
         with pytest.raises(ChallengeShapeError):
             puf.evaluate(Challenge(np.zeros(32, dtype=np.uint8)))
+        with pytest.raises(ChallengeShapeError):
+            puf.evaluate_many(np.zeros((3, 32), dtype=np.uint8))
+        bits = np.zeros((3, 64), dtype=np.uint8)
+        bits[1, 5] = 2
+        with pytest.raises(ValidationError):
+            puf.evaluate_many(bits)
+        with pytest.raises(ValidationError):
+            Challenge(bits[1])
 
     def test_raw_bit_error_rate_in_band(self):
         # regression bound: 2-8% intra-device BER at default noise
@@ -115,34 +122,37 @@ class TestEvaluate:
     def test_evaluate_many_matches_single(self):
         puf = photonic()
         chals = rand_challenges(5)
-        batch = puf.evaluate_many(chals)
-        for c, r in zip(chals, batch):
-            assert np.array_equal(r.bits, puf.evaluate(c).bits)
+        batch = puf.evaluate_many(np.stack([c.bits for c in chals]))
+        assert len(batch) == 5
+        for i, c in enumerate(chals):
+            r = puf.evaluate(c)
+            assert np.array_equal(batch.challenges[i], c.bits)
+            assert np.array_equal(batch.bits[i], r.bits)
+            assert np.array_equal(batch.analog[i], r.analog)
+            assert np.array_equal(batch.margins[i], np.abs(r.analog - puf.thresholds))
 
 
 class TestCalibration:
     def test_uniformity_near_half_after_calibration(self):
         puf = photonic(seed=11)
-        resp = puf.evaluate_many(rand_challenges(1000))
-        ones = np.mean([r.bits.mean() for r in resp])
+        ones = puf.evaluate_many(rand_challenges(1000)).bits.mean()
         assert 0.45 <= ones <= 0.55
 
     def test_recalibration_deterministic(self):
         a = photonic(seed=13)
         b = photonic(seed=13)
-        assert np.array_equal(calibrate_thresholds(a, 200),
-                              calibrate_thresholds(b, 200))
+        assert np.array_equal(a.calibrate(200), b.calibrate(200))
 
     def test_min_samples_enforced(self):
         with pytest.raises(ValidationError):
-            calibrate_thresholds(photonic(), 99)
+            photonic().calibrate(99)
 
     def test_degenerate_tap_ties_to_one(self):
         # zero detection row -> constant zero photocurrent -> threshold 0,
         # and the >= tie rule quantizes it to 1
         puf = photonic(seed=17)
         puf.detect[5, :] = 0
-        calibrate_thresholds(puf, 100)
+        puf.calibrate(100)
         assert puf.thresholds[5] == 0.0
         for c in rand_challenges(3):
             assert puf.evaluate(c).bits[5] == 1
@@ -399,7 +409,7 @@ class TestIntegerOracle:
     def test_seed_1_agrees_bit_for_bit(self):
         # the device behind the pinned auth and attestation goldens
         puf = create_puf("photonic", 1, {"noise_sigma": 0.0})
-        enrollment = puf.random_challenges("provisioning", 1)[0]
+        enrollment = Challenge(puf.random_challenges("provisioning", 1)[0])
         secret = enroll_secret(puf)
         first_auth = derive_next_challenge(secret, 64)
         attest = Challenge(np.array([i % 2 for i in range(64)], dtype=np.uint8))
