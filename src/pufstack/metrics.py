@@ -8,6 +8,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ValidationError
+from .puf.base import _challenge_bits
 
 
 def _as_bit_matrix(matrix) -> np.ndarray:
@@ -135,9 +136,9 @@ def population_responses(pufs, challenges, n_reevals: int = 0,
     N = challenges * bits, reevals is (R, D, N) noisy re-reads (or None
     when n_reevals == 0). Golden responses are noiseless.
     """
-    challenges = np.asarray(challenges, dtype=np.uint8)
     if len(pufs) == 0 or len(challenges) == 0:
         raise ValidationError("population needs devices and challenges")
+    challenges = _challenge_bits(challenges, 2)
     batches = [puf.evaluate_many(challenges) for puf in pufs]
     golden = np.stack([b.bits.ravel() for b in batches])
     margins = np.stack([b.margins.ravel() for b in batches])
@@ -145,9 +146,10 @@ def population_responses(pufs, challenges, n_reevals: int = 0,
     if n_reevals > 0:
         if noise_rng is None:
             raise ValidationError("re-evaluations need a noise rng")
+        # a re-read adds detector noise to the golden pass's noiseless field
         reevals = np.stack([
-            np.stack([puf.evaluate_many(challenges, noise_rng).bits.ravel()
-                      for puf in pufs])
+            np.stack([puf.read_out(b.challenges, b.analog, noise_rng).bits.ravel()
+                      for puf, b in zip(pufs, batches)])
             for _ in range(n_reevals)])
     return golden, margins, reevals
 

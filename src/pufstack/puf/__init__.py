@@ -89,18 +89,29 @@ def stabilized_response(puf: PufInstance, challenge: Challenge,
                         votes: int = 9) -> Response:
     """Noise-robust response: bitwise majority over an odd number of reads.
 
+    Detector model: each read is the device's noiseless analog field plus
+    fresh Gaussian detector noise (sigma ``env.noise_sigma``), quantized
+    against the thresholds. The challenge is therefore propagated once, and
+    the ``votes`` reads draw their noise on that one field in a single
+    (votes, M) draw, which numpy's Generator fills in the same order as
+    ``votes`` separate (1, M) draws. This is exact, not an approximation:
+    a ``PufInstance`` holds no per-evaluation state and ``evaluate_analog``
+    is a pure function of the challenge matrix, so every read would have
+    propagated to the same field. Bits, the mean analog vector and the
+    generator's final state equal those of ``votes`` calls to ``evaluate``.
+
     With ``noise_draw=None`` this is just the noiseless evaluation; protocol
     layers use it wherever both parties must agree on exact bits.
     """
     if votes < 1 or votes % 2 == 0:
         raise ValidationError("votes must be odd and >= 1")
+    field = puf.evaluate_many(challenge.bits[None, :])
     if noise_draw is None:
-        return puf.evaluate(challenge, None)
-    reads = [puf.evaluate(challenge, noise_draw) for _ in range(votes)]
-    stack = np.stack([r.bits for r in reads])
-    bits = (stack.sum(axis=0) * 2 > votes).astype(np.uint8)
-    analog = np.mean(np.stack([r.analog for r in reads]), axis=0)
-    return Response(bits, analog)
+        return Response(field.bits[0], field.analog[0])
+    reads = puf.read_out(np.repeat(field.challenges, votes, axis=0),
+                         np.repeat(field.analog, votes, axis=0), noise_draw)
+    bits = (reads.bits.sum(axis=0) * 2 > votes).astype(np.uint8)
+    return Response(bits, reads.analog.mean(axis=0))
 
 
 __all__ = [

@@ -15,7 +15,10 @@ SUPPORTED_CHALLENGE_LENGTHS = (32, 64, 128)
 
 def _challenge_bits(bits, ndim: int) -> np.ndarray:
     """``bits`` as a uint8 array of rank ``ndim`` whose entries are all 0/1."""
-    arr = np.asarray(bits, dtype=np.uint8)
+    try:
+        arr = np.asarray(bits, dtype=np.uint8)
+    except ValueError as exc:   # ragged rows, e.g. challenges of unequal length
+        raise ChallengeShapeError(f"challenges do not stack into one array: {exc}") from exc
     if arr.ndim != ndim:
         raise ValidationError(f"challenge bits must be a {ndim}-D array")
     if arr.max(initial=0) > 1:
@@ -174,13 +177,18 @@ class PufInstance:
             raise ChallengeShapeError(
                 f"challenge length {mat.shape[1]} != device L={self.challenge_len}"
             )
-        analog = self.evaluate_analog(mat)
+        return self.read_out(mat, self.evaluate_analog(mat), noise_draw)
+
+    def read_out(self, challenges: np.ndarray, analog: np.ndarray,
+                 noise_draw: Optional[np.random.Generator] = None) -> CrpBatch:
+        """Detect noiseless analog rows of ``challenges``: add detector noise
+        (when ``noise_draw`` is given) and quantize against ``thresholds``."""
         if noise_draw is not None and self.env.noise_sigma > 0:
             analog = analog + noise_draw.normal(0.0, self.env.noise_sigma, size=analog.shape)
         if not np.isfinite(analog).all():
             raise ValidationError("analog response values must be finite")
         bits = (analog >= self.thresholds).astype(np.uint8)
-        return CrpBatch(mat, bits, analog, np.abs(analog - self.thresholds))
+        return CrpBatch(challenges, bits, analog, np.abs(analog - self.thresholds))
 
     def noise_rng(self, label: str = "noise") -> np.random.Generator:
         """Convenience: a reproducible noise stream bound to this device."""

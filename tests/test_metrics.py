@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pufstack.errors import ValidationError
+from pufstack.errors import ChallengeShapeError, ValidationError
 from pufstack.metrics import (FilterBand, band_sweep, bit_entropy,
                               compute_metrics, decision_rates,
                               population_responses)
@@ -182,6 +182,11 @@ def test_population_responses_shapes():
         population_responses(pufs, chals, n_reevals=2, noise_rng=None)
     with pytest.raises(ValidationError):
         population_responses([], chals)
+    # challenges of unequal length do not stack into one matrix
+    ragged = [Challenge(np.zeros(64, dtype=np.uint8)),
+              Challenge(np.zeros(32, dtype=np.uint8))]
+    with pytest.raises(ChallengeShapeError):
+        population_responses([create_puf("arbiter", 6200, {"L": 64})], ragged)
 
 
 def test_population_responses_pinned():

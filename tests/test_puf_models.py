@@ -10,10 +10,12 @@ import pytest
 import pufstack
 from pufstack.config import load_puf, puf_from_kv, puf_to_kv, save_puf
 from pufstack.errors import ChallengeShapeError, ValidationError
+from pufstack.metrics import population_responses
 from pufstack.protocols.attest import _response_to_challenge
 from pufstack.protocols.auth import derive_next_challenge, enroll_secret
-from pufstack.puf import (Challenge, PhotonicParams, composite_evaluate,
-                          create_puf, parity_features, stabilized_response)
+from pufstack.puf import (Challenge, PhotonicParams, PhotonicPuf,
+                          composite_evaluate, create_puf, parity_features,
+                          stabilized_response)
 from pufstack.puf.photonic import cascade_bounds, phase_table
 from pufstack.xof import derive_rng
 
@@ -94,6 +96,12 @@ class TestEvaluate:
             puf.evaluate_many(bits)
         with pytest.raises(ValidationError):
             Challenge(bits[1])
+        # challenges of unequal length do not stack into one matrix
+        arbiter = create_puf("arbiter", 7, {"L": 64})
+        ragged = [Challenge(np.zeros(64, dtype=np.uint8)),
+                  Challenge(np.zeros(32, dtype=np.uint8))]
+        with pytest.raises(ChallengeShapeError):
+            arbiter.evaluate_many(ragged)
 
     def test_raw_bit_error_rate_in_band(self):
         # regression bound: 2-8% intra-device BER at default noise
@@ -258,6 +266,42 @@ class TestInvariants:
             raw.append(puf.evaluate(c, nd).fractional_hd(ref))
             stab.append(stabilized_response(puf, c, nd, votes=15).fractional_hd(ref))
         assert np.mean(stab) < 0.5 * np.mean(raw)
+
+    @pytest.mark.parametrize("votes", [1, 3, 9])
+    @pytest.mark.parametrize("kind,cfg", [("photonic", {}), ("arbiter", {}), ("sram", {}),
+                                          ("photonic", {"noise_sigma": 0.0})])
+    def test_stabilized_response_matches_per_vote_reads(self, kind, cfg, votes):
+        # reference: one full evaluation per vote, then majority and mean
+        puf = create_puf(kind, 61, cfg)
+        ref_rng, rng = np.random.default_rng(8), np.random.default_rng(8)
+        for c in rand_challenges(3, puf.challenge_len, seed=votes):
+            reads = [puf.evaluate(c, ref_rng) for _ in range(votes)]
+            stack = np.stack([r.bits for r in reads])
+            bits = (stack.sum(axis=0) * 2 > votes).astype(np.uint8)
+            analog = np.mean(np.stack([r.analog for r in reads]), axis=0)
+            got = stabilized_response(puf, c, rng, votes)
+            assert np.array_equal(got.bits, bits)
+            assert np.array_equal(got.analog, analog)
+        assert rng.bytes(8) == ref_rng.bytes(8)
+
+    def test_one_propagation_per_read(self, monkeypatch):
+        # votes and population re-reads add detector noise to one noiseless
+        # field: a stabilized read propagates 1 row, and D devices x N
+        # challenges with R re-reads propagate D x N rows, not D x N x (R + 1)
+        pufs = [photonic(seed=6300 + i) for i in range(3)]
+        rows = []
+        propagate = PhotonicPuf.evaluate_analog
+
+        def counting(self, bits_matrix):
+            rows.append(len(bits_matrix))
+            return propagate(self, bits_matrix)
+        monkeypatch.setattr(PhotonicPuf, "evaluate_analog", counting)
+        stabilized_response(pufs[0], rand_challenges(1)[0], pufs[0].noise_rng(), votes=9)
+        assert sum(rows) == 1
+        rows.clear()
+        population_responses(pufs, rand_challenges(5, seed=14), n_reevals=4,
+                             noise_rng=np.random.default_rng(15))
+        assert sum(rows) == 3 * 5
 
 
 class TestConfigFile:
