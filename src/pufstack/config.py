@@ -36,32 +36,24 @@ def write_kv(path: PathLike, pairs: dict) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-_PUF_KEYS = ("kind", "seed", "L", "M", "P", "a", "kappa", "kerr",
-             "target_mean", "noise_sigma", "temperature_delta", "replica_sigma")
-
-
 def puf_to_kv(puf: PufInstance) -> dict[str, str]:
     kv = {
         "kind": puf.kind,
         "seed": puf.device_seed.hex(),
         "L": str(puf.challenge_len),
         "M": str(puf.response_len),
-        "noise_sigma": repr(puf.env.noise_sigma),
-        "temperature_delta": repr(puf.env.temperature_delta),
+        "noise_sigma": repr(puf.noise_sigma),
     }
     if puf.kind == "photonic":
         p = puf.params
-        kv.update(P=str(p.n_paths), a=repr(p.mem_decay), kappa=repr(p.phase_temp_coeff),
-                  kerr=repr(p.kerr_coeff), target_mean=repr(p.target_mean))
+        kv.update(P=str(p.n_paths), a=repr(p.mem_decay), kerr=repr(p.kerr_coeff),
+                  target_mean=repr(p.target_mean))
     elif puf.kind == "arbiter":
-        kv["replica_sigma"] = repr(puf.params.replica_sigma)
+        kv["replica_sigma"] = repr(puf.replica_sigma)
     return kv
 
 
 def puf_from_kv(kv: dict[str, str]) -> PufInstance:
-    unknown = set(kv) - set(_PUF_KEYS)
-    if unknown:
-        raise ValidationError(f"unknown device config keys: {sorted(unknown)}")
     if "kind" not in kv or "seed" not in kv:
         raise ValidationError("device config requires 'kind' and 'seed'")
     cfg = {k: v for k, v in kv.items() if k not in ("kind", "seed")}

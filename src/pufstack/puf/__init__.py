@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Union
 
 import numpy as np
 
 from ..errors import ValidationError
-from .arbiter import ArbiterParams, ArbiterPuf, parity_features
-from .base import (Challenge, CrpBatch, EnvironmentState, PufInstance,
-                   Response, SUPPORTED_CHALLENGE_LENGTHS, challenge_matrix)
+from .arbiter import ArbiterPuf, parity_features
+from .base import (Challenge, CrpBatch, PufInstance, Response,
+                   SUPPORTED_CHALLENGE_LENGTHS, challenge_matrix)
 from .photonic import PhotonicParams, PhotonicPuf
 from .sram import SramPuf
 
@@ -21,9 +22,14 @@ def coerce_seed(seed: Union[bytes, int, str]) -> bytes:
     if isinstance(seed, bytes):
         raw = seed
     elif isinstance(seed, int):
+        if not 0 <= seed < 1 << 256:
+            raise ValidationError("an int device_seed must lie in [0, 2^256)")
         raw = seed.to_bytes(32, "big")
     elif isinstance(seed, str):
-        raw = bytes.fromhex(seed)
+        try:
+            raw = bytes.fromhex(seed)
+        except ValueError:
+            raise ValidationError(f"device_seed {seed!r} is not a hex string") from None
     else:
         raise ValidationError("device_seed must be bytes, int, or hex string")
     if len(raw) != 32:
@@ -35,33 +41,40 @@ def create_puf(kind: str, device_seed: Union[bytes, int, str],
                config: Optional[dict] = None) -> PufInstance:
     """Build a device from a kind name, a 256-bit seed, and optional config.
 
-    Recognized config keys (all optional): L, M, P, a, kappa, kerr,
-    target_mean, noise_sigma, temperature_delta, replica_sigma.
+    Recognized config keys (all optional): L, M and noise_sigma for every
+    kind; P, a, kerr and target_mean for photonic; replica_sigma for arbiter.
+    Values may be numbers or their text form, as read from a device file.
     """
     cfg = dict(config or {})
     seed = coerce_seed(device_seed)
-    env = EnvironmentState(
-        temperature_delta=float(cfg.pop("temperature_delta", 0.0)),
-        noise_sigma=float(cfg.pop("noise_sigma", 0.02)),
-    )
-    length = int(cfg.pop("L", 64))
-    m = int(cfg.pop("M", 128))
+
+    def take(key, default, cast=float):
+        value = cfg.pop(key, default)
+        try:
+            number = cast(value)
+            if math.isfinite(number):
+                return number
+        except (TypeError, ValueError, OverflowError):
+            pass
+        raise ValidationError(f"config value {key} = {value!r} is not a finite {cast.__name__}")
+
+    noise_sigma = take("noise_sigma", 0.02)
+    length = take("L", 64, int)
+    m = take("M", 128, int)
 
     if kind == "photonic":
         params = PhotonicParams(
-            n_paths=int(cfg.pop("P", 32)),
+            n_paths=take("P", 32, int),
             detect_count=m,
-            mem_decay=float(cfg.pop("a", 0.6)),
-            kerr_coeff=float(cfg.pop("kerr", 40.0)),
-            phase_temp_coeff=float(cfg.pop("kappa", 0.01)),
-            target_mean=float(cfg.pop("target_mean", 0.2)),
+            mem_decay=take("a", 0.6),
+            kerr_coeff=take("kerr", 40.0),
+            target_mean=take("target_mean", 0.2),
         )
-        puf: PufInstance = PhotonicPuf(seed, length, params, env)
+        puf: PufInstance = PhotonicPuf(seed, length, params, noise_sigma)
     elif kind == "arbiter":
-        params_a = ArbiterParams(replica_sigma=float(cfg.pop("replica_sigma", 0.05)))
-        puf = ArbiterPuf(seed, length, m, params_a, env)
+        puf = ArbiterPuf(seed, length, m, take("replica_sigma", 0.05), noise_sigma)
     elif kind == "sram":
-        puf = SramPuf(seed, m, length, env)
+        puf = SramPuf(seed, m, length, noise_sigma)
     else:
         raise ValidationError(f"unknown PUF kind {kind!r}; expected one of {KINDS}")
 
@@ -90,7 +103,7 @@ def stabilized_response(puf: PufInstance, challenge: Challenge,
     """Noise-robust response: bitwise majority over an odd number of reads.
 
     Detector model: each read is the device's noiseless analog field plus
-    fresh Gaussian detector noise (sigma ``env.noise_sigma``), quantized
+    fresh Gaussian detector noise (sigma ``noise_sigma``), quantized
     against the thresholds. The challenge is therefore propagated once, and
     the ``votes`` reads draw their noise on that one field in a single
     (votes, M) draw, which numpy's Generator fills in the same order as
@@ -115,8 +128,8 @@ def stabilized_response(puf: PufInstance, challenge: Challenge,
 
 
 __all__ = [
-    "ArbiterParams", "ArbiterPuf", "Challenge", "CrpBatch",
-    "EnvironmentState", "PhotonicParams", "PhotonicPuf", "PufInstance",
+    "ArbiterPuf", "Challenge", "CrpBatch",
+    "PhotonicParams", "PhotonicPuf", "PufInstance",
     "Response", "SramPuf", "SUPPORTED_CHALLENGE_LENGTHS", "KINDS",
     "challenge_matrix", "coerce_seed", "composite_evaluate",
     "create_puf", "parity_features", "stabilized_response",

@@ -7,14 +7,11 @@ device-unique weight vector, mimicking M parallel delay chains on one die.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from ..errors import ValidationError
 from ..xof import derive_rng
-from .base import EnvironmentState, PufInstance
+from .base import PufInstance
 
 
 def parity_features(bits_matrix: np.ndarray) -> np.ndarray:
@@ -30,37 +27,26 @@ def parity_features(bits_matrix: np.ndarray) -> np.ndarray:
     return feats
 
 
-@dataclass
-class ArbiterParams:
-    replica_sigma: float = 0.05  # weight spread of the M parallel chains
-
-    def validate(self):
-        if self.replica_sigma < 0:
-            raise ValidationError("replica_sigma must be >= 0")
-
-
 class ArbiterPuf(PufInstance):
     kind = "arbiter"
 
     def __init__(self, device_seed: bytes, challenge_len: int = 64,
-                 response_len: int = 128,
-                 params: Optional[ArbiterParams] = None,
-                 env: Optional[EnvironmentState] = None):
-        params = params if params is not None else ArbiterParams()
-        params.validate()
-        super().__init__(device_seed, challenge_len, response_len, env)
-        self.params = params
+                 response_len: int = 128, replica_sigma: float = 0.05,
+                 noise_sigma: float = 0.02):
+        if not replica_sigma >= 0:
+            raise ValidationError("replica_sigma must be >= 0")
+        super().__init__(device_seed, challenge_len, response_len, noise_sigma)
+        self.replica_sigma = replica_sigma  # weight spread of the M parallel chains
         rng = derive_rng(device_seed, "arbiter-fabrication")
         self.base_weights = rng.standard_normal(challenge_len + 1)
         perturb = rng.standard_normal((response_len, challenge_len + 1))
-        self.weights = self.base_weights[None, :] + params.replica_sigma * perturb
+        self.weights = self.base_weights[None, :] + replica_sigma * perturb
         # Noise acts on the delay margin; scale it to the margin's natural
-        # std (sqrt(L+1)) so env.noise_sigma keeps its normalized meaning.
+        # std (sqrt(L+1)) so noise_sigma keeps its normalized meaning.
         self._noise_gain = float(np.sqrt(challenge_len + 1))
 
     def evaluate_analog(self, bits_matrix: np.ndarray) -> np.ndarray:
-        feats = parity_features(np.asarray(bits_matrix, dtype=np.uint8))
-        return (feats @ self.weights.T) / self._noise_gain
+        return (parity_features(bits_matrix) @ self.weights.T) / self._noise_gain
 
     @property
     def thresholds(self) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Shared PUF types: challenges, responses, environment, CRP batches."""
+"""Shared PUF types: challenges, responses, CRP batches."""
 
 from __future__ import annotations
 
@@ -16,12 +16,18 @@ SUPPORTED_CHALLENGE_LENGTHS = (32, 64, 128)
 def _challenge_bits(bits, ndim: int) -> np.ndarray:
     """``bits`` as a uint8 array of rank ``ndim`` whose entries are all 0/1."""
     try:
-        arr = np.asarray(bits, dtype=np.uint8)
+        arr = np.asarray(bits)
     except ValueError as exc:   # ragged rows, e.g. challenges of unequal length
         raise ChallengeShapeError(f"challenges do not stack into one array: {exc}") from exc
     if arr.ndim != ndim:
         raise ValidationError(f"challenge bits must be a {ndim}-D array")
-    if arr.max(initial=0) > 1:
+    if arr.dtype == np.uint8:
+        valid = arr.max(initial=0) <= 1
+    else:   # check before the cast, which would wrap 256 and truncate 0.7 to a bit
+        flags = arr.astype(bool)
+        valid = (flags == arr).all()
+        arr = flags.view(np.uint8)
+    if not valid:
         raise ValidationError("challenge bits must be 0/1")
     return arr
 
@@ -88,18 +94,6 @@ class Response:
         return float(np.mean(self.bits != other.bits))
 
 
-@dataclass
-class EnvironmentState:
-    """Operating conditions applied at evaluation time."""
-
-    temperature_delta: float = 0.0
-    noise_sigma: float = 0.02
-
-    def __post_init__(self):
-        if self.noise_sigma < 0:
-            raise ValidationError("noise_sigma must be >= 0")
-
-
 @dataclass(frozen=True)
 class CrpBatch:
     """N challenge-response pairs as aligned rows.
@@ -133,7 +127,7 @@ class PufInstance:
     kind = "abstract"
 
     def __init__(self, device_seed: bytes, challenge_len: int, response_len: int,
-                 env: Optional[EnvironmentState] = None):
+                 noise_sigma: float = 0.02):
         if len(device_seed) != 32:
             raise ValidationError("device_seed must be 32 bytes (256 bits)")
         if challenge_len not in SUPPORTED_CHALLENGE_LENGTHS:
@@ -143,16 +137,22 @@ class PufInstance:
             )
         if response_len < 1:
             raise ValidationError("response length M must be >= 1")
+        if not noise_sigma >= 0:
+            raise ValidationError("noise_sigma must be >= 0")
         self.device_seed = device_seed
         self.challenge_len = challenge_len
         self.response_len = response_len
-        self.env = env if env is not None else EnvironmentState()
+        self.noise_sigma = noise_sigma  # detector noise, in normalized analog units
 
-    def _check_challenge(self, challenge: Challenge):
-        if len(challenge) != self.challenge_len:
+    def _challenge_rows(self, challenges) -> np.ndarray:
+        """The validated (N, L) uint8 matrix of ``challenges``: anything
+        np.asarray stacks into one, such as a list of challenges."""
+        mat = _challenge_bits(challenges, 2)
+        if mat.shape[1] != self.challenge_len:
             raise ChallengeShapeError(
-                f"challenge length {len(challenge)} != device L={self.challenge_len}"
+                f"challenge length {mat.shape[1]} != device L={self.challenge_len}"
             )
+        return mat
 
     def evaluate_analog(self, bits_matrix: np.ndarray) -> np.ndarray:
         """Noiseless analog outputs for a (B, L) matrix of challenges."""
@@ -172,19 +172,15 @@ class PufInstance:
                       noise_draw: Optional[np.random.Generator] = None) -> CrpBatch:
         """Evaluate an (N, L) challenge bit matrix, or anything np.asarray
         turns into one, such as a list of challenges."""
-        mat = _challenge_bits(challenges, 2)
-        if mat.shape[1] != self.challenge_len:
-            raise ChallengeShapeError(
-                f"challenge length {mat.shape[1]} != device L={self.challenge_len}"
-            )
+        mat = self._challenge_rows(challenges)
         return self.read_out(mat, self.evaluate_analog(mat), noise_draw)
 
     def read_out(self, challenges: np.ndarray, analog: np.ndarray,
                  noise_draw: Optional[np.random.Generator] = None) -> CrpBatch:
         """Detect noiseless analog rows of ``challenges``: add detector noise
         (when ``noise_draw`` is given) and quantize against ``thresholds``."""
-        if noise_draw is not None and self.env.noise_sigma > 0:
-            analog = analog + noise_draw.normal(0.0, self.env.noise_sigma, size=analog.shape)
+        if noise_draw is not None and self.noise_sigma > 0:
+            analog = analog + noise_draw.normal(0.0, self.noise_sigma, size=analog.shape)
         if not np.isfinite(analog).all():
             raise ValidationError("analog response values must be finite")
         bits = (analog >= self.thresholds).astype(np.uint8)

@@ -25,13 +25,13 @@ gives the same bits on every machine, BLAS build and memory layout.
   <= 1 by truncation, and every stage operator norm is checked against
   1 + 2^-8. Then two unit injection vectors u_0, u_1, and a detection
   matrix D (M x P) normalized to Frobenius norm <= 1, so it is passive.
-* Device integers. A = round(mem_decay / q), X = round(kerr_coeff * N / (2*pi)
-  * 2^8), tau = round(phase_temp_coeff * temperature_delta * N / (2*pi)).
+* Device integers. A = round(mem_decay / q) and
+  X = round(kerr_coeff * N / (2*pi) * 2^8).
   The memory table is (Ca[k], Sa[k]) = floor(A * (C[k], S[k]) * q).
 * Cascade, challenge bits c_1..c_L, m_0 = 0, per path j:
 
       y_t = floor(S_t (u_{c_t} + m_{t-1}))
-      k_t = floor(floor(|y_t|^2 * 2^16) * X * 2^-24) + tau        (mod N)
+      k_t = floor(floor(|y_t|^2 * 2^16) * X * 2^-24)              (mod N)
       m_t = floor(y_t * (Ca[k_t] + i*Sa[k_t]) * q)    # resonant memory
       s_t = floor(y_t * (C[k_t] + i*S[k_t]) * q)      # field at the detector
 
@@ -54,7 +54,7 @@ import numpy as np
 
 from ..errors import ValidationError
 from ..xof import derive_rng
-from .base import Challenge, EnvironmentState, PufInstance
+from .base import Challenge, PufInstance
 
 GRID_BITS = 20                 # fabricated values are multiples of 2^-20
 TABLE_BITS = 12                # phase table of N = 4096 entries per turn
@@ -62,6 +62,7 @@ POWER_BITS = 16                # fractional bits of |y|^2 fed to the Kerr index
 KERR_BITS = 8                  # fractional table steps resolved by kerr_coeff
 NORM_BOUND = 1.0 + 2.0 ** -8   # checked upper bound on each stage operator norm
 EXACT_LIMIT = 2.0 ** 53        # float64 holds every integer below this exactly
+CALIB_SAMPLES = 256            # challenges used for creation-time calibration
 
 _Q = 1 << GRID_BITS
 _GRID = 2.0 ** -GRID_BITS
@@ -74,9 +75,7 @@ class PhotonicParams:
     detect_count: int = 128     # photodiode taps M
     mem_decay: float = 0.6      # resonant state coefficient a, in [0, 1), see validate
     kerr_coeff: float = 40.0    # intensity-to-phase coefficient of the nonlinearity
-    phase_temp_coeff: float = 0.01  # radians of per-stage phase per kelvin
     target_mean: float = 0.2    # normalized mean photocurrent after gain calibration
-    calib_samples: int = 256    # challenges used for creation-time calibration
 
     def validate(self):
         if self.n_paths < 2:
@@ -87,8 +86,6 @@ class PhotonicParams:
             raise ValidationError("mem_decay a must lie in [0, 1)")
         if self.target_mean <= 0:
             raise ValidationError("target_mean must be positive")
-        if self.calib_samples < 100:
-            raise ValidationError("calib_samples must be >= 100")
         if worst_intermediate(self) >= EXACT_LIMIT:
             raise ValidationError(
                 "n_paths, mem_decay and kerr_coeff let cascade intermediates "
@@ -188,10 +185,10 @@ def phase_table() -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _rotations(scale: int, turn: int) -> np.ndarray:
+def _rotations(scale: int) -> np.ndarray:
     """(N, 2, 2) rotation matrices [[c, -s], [s, c]] * q with
-    (c, s) = floor(scale * table[(k + turn) mod N] * q), as float64."""
-    cs = np.roll((scale * phase_table()) >> GRID_BITS, -turn, axis=0) * _GRID
+    (c, s) = floor(scale * table[k] * q), as float64."""
+    cs = ((scale * phase_table()) >> GRID_BITS) * _GRID
     c, s = cs[:, 0], cs[:, 1]
     rot = np.stack([np.stack([c, -s], 1), np.stack([s, c], 1)], 1)
     rot.flags.writeable = False
@@ -274,10 +271,10 @@ class PhotonicPuf(PufInstance):
 
     def __init__(self, device_seed: bytes, challenge_len: int = 64,
                  params: Optional[PhotonicParams] = None,
-                 env: Optional[EnvironmentState] = None):
+                 noise_sigma: float = 0.02):
         params = params if params is not None else PhotonicParams()
         params.validate()
-        super().__init__(device_seed, challenge_len, params.detect_count, env)
+        super().__init__(device_seed, challenge_len, params.detect_count, noise_sigma)
         self.params = params
         p = params.n_paths
 
@@ -295,27 +292,22 @@ class PhotonicPuf(PufInstance):
 
         self.gain = 1.0
         self._thresholds = np.zeros(params.detect_count)
-        self.calibrate(params.calib_samples)
+        self.calibrate(CALIB_SAMPLES)
 
     # -- propagation ------------------------------------------------------
 
     def _propagate(self, bits_matrix: np.ndarray, trace: bool = False):
         """Run the stage cascade; returns the final detector fields s_L
         (B, 2P) in counts of q, optionally the per-stage raw intensity trace
-        (B, L, M) in counts of q^2."""
-        bits = np.asarray(bits_matrix, dtype=np.uint8)
-        if bits.ndim != 2 or bits.shape[1] != self.challenge_len:
-            raise ValidationError("challenge matrix must be (B, L)")
-        b, p = bits.shape[0], self.params.n_paths
-        # tau: the per-stage thermal phase in whole table steps
-        turn = round(self.params.phase_temp_coeff * self.env.temperature_delta
-                     * _N / (2 * math.pi)) % _N
-        unit = _rotations(_Q, turn)
-        memory = _rotations(self.params.memory_steps(), turn)
+        (B, L, M) in counts of q^2. ``bits_matrix`` must already be a
+        validated (B, L) matrix of 0/1."""
+        b, p = len(bits_matrix), self.params.n_paths
+        unit = _rotations(_Q)
+        memory = _rotations(self.params.memory_steps())
         kerr = self.params.kerr_steps() * 2.0 ** -(POWER_BITS + KERR_BITS)
         level = 2.0 ** (POWER_BITS - 2 * GRID_BITS)
         inject = np.stack([self.inject0, self.inject1]) * _Q
-        order = np.ascontiguousarray(bits.T, dtype=np.intp)
+        order = np.ascontiguousarray(bits_matrix.T, dtype=np.intp)
         block = _detect_block(self.detect) if trace else None
         mem = np.zeros((b, 2 * p))
         stages = []
@@ -334,19 +326,22 @@ class PhotonicPuf(PufInstance):
             return state, np.stack(stages, axis=1)
         return state, None
 
-    def raw_intensities(self, bits_matrix: np.ndarray) -> np.ndarray:
-        """Noiseless detected intensities in raw (pre-gain) units, (B, M)."""
+    def _raw(self, bits_matrix: np.ndarray) -> np.ndarray:
+        """``raw_intensities`` of an already validated matrix."""
         state, _ = self._propagate(bits_matrix)
         return _intensities(state, _detect_block(self.detect)) * _GRID ** 2
 
+    def raw_intensities(self, bits_matrix) -> np.ndarray:
+        """Noiseless detected intensities in raw (pre-gain) units, (B, M)."""
+        return self._raw(self._challenge_rows(bits_matrix))
+
     def stage_trace(self, challenge: Challenge) -> np.ndarray:
         """Per-stage noiseless intensities (L, M); used to probe the memory term."""
-        self._check_challenge(challenge)
-        _, trace = self._propagate(challenge.bits[None, :], trace=True)
+        _, trace = self._propagate(self._challenge_rows(challenge.bits[None, :]), trace=True)
         return trace[0] * _GRID ** 2
 
     def evaluate_analog(self, bits_matrix: np.ndarray) -> np.ndarray:
-        return self.gain * self.raw_intensities(bits_matrix)
+        return self.gain * self._raw(bits_matrix)
 
     @property
     def thresholds(self) -> np.ndarray:
@@ -365,8 +360,7 @@ class PhotonicPuf(PufInstance):
         """
         if n_samples < 100:
             raise ValidationError("calibration needs n_samples >= 100")
-        raw = self.raw_intensities(
-            self.random_challenges("calibration-challenges", n_samples))
+        raw = self._raw(self.random_challenges("calibration-challenges", n_samples))
         self.gain = self.params.target_mean * raw.size / math.fsum(raw.ravel())
         self._thresholds = np.median(self.gain * raw, axis=0)
         return self._thresholds
@@ -376,7 +370,6 @@ class PhotonicPuf(PufInstance):
     def power_audit(self, challenge: Challenge) -> tuple[float, float]:
         """(detected, injected) noiseless power in raw units; passivity says
         detected <= injected because every element has operator norm <= 1."""
-        self._check_challenge(challenge)
         detected = float(np.sum(self.raw_intensities(challenge.bits[None, :])))
         injected = float(self.challenge_len)  # unit-norm field per stage
         return detected, injected

@@ -6,21 +6,18 @@ and noisy reads flip low-|bias| cells with the usual Gaussian model.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from ..xof import derive_rng
-from .base import EnvironmentState, PufInstance
+from .base import PufInstance
 
 
 class SramPuf(PufInstance):
     kind = "sram"
 
     def __init__(self, device_seed: bytes, response_len: int = 128,
-                 challenge_len: int = 64,
-                 env: Optional[EnvironmentState] = None):
-        super().__init__(device_seed, challenge_len, response_len, env)
+                 challenge_len: int = 64, noise_sigma: float = 0.02):
+        super().__init__(device_seed, challenge_len, response_len, noise_sigma)
         rng = derive_rng(device_seed, "sram-fabrication")
         self.bias = rng.standard_normal(response_len)
 

@@ -3,7 +3,7 @@ import csv
 import pytest
 
 from pufstack.cli import main
-from pufstack.config import read_kv
+from pufstack.config import read_kv, write_kv
 
 pytestmark = pytest.mark.usefixtures("tmp_path")
 
@@ -80,6 +80,20 @@ class TestMetrics:
     def test_missing_device_file_exits_4(self, tmp_path):
         assert run(["metrics", tmp_path / "nope.cfg",
                     "--out", tmp_path / "m"]) == 4
+
+    # hand edits: malformed values, and the thermal keys that older
+    # versions wrote and the model no longer has
+    @pytest.mark.parametrize("key, value", [
+        ("seed", "zz" * 32), ("L", "sixty-four"), ("kerr", "nan"),
+        ("kappa", "0.01"), ("temperature_delta", "0.0")],
+        ids=["hex-seed", "L", "kerr", "kappa", "temperature_delta"])
+    def test_edited_device_file_exits_2(self, tmp_path, capsys, key, value):
+        paths = gen_devices(tmp_path, 2)
+        kv = read_kv(paths[0])
+        kv[key] = value
+        write_kv(paths[0], kv)
+        assert run(["metrics", *paths, "--out", tmp_path / "m"]) == 2
+        assert key in capsys.readouterr().err
 
 
 class TestSweepFilter:

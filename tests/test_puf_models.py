@@ -50,6 +50,9 @@ class TestCreation:
             create_puf("nonsense", 1)
         with pytest.raises(ValidationError):
             create_puf("photonic", 1, {"bogus_key": 3})
+        for seed in (-1, 1 << 256, "zz" * 32):
+            with pytest.raises(ValidationError):
+                create_puf("sram", seed)
 
     def test_seed_forms_equivalent(self):
         seed_int = 0xDEADBEEF
@@ -90,12 +93,25 @@ class TestEvaluate:
             puf.evaluate(Challenge(np.zeros(32, dtype=np.uint8)))
         with pytest.raises(ChallengeShapeError):
             puf.evaluate_many(np.zeros((3, 32), dtype=np.uint8))
+        short = Challenge(np.zeros(32, dtype=np.uint8))
+        for probe in (puf.stage_trace, puf.power_audit,
+                      lambda c: puf.raw_intensities(c.bits[None, :])):
+            with pytest.raises(ChallengeShapeError):
+                probe(short)
         bits = np.zeros((3, 64), dtype=np.uint8)
         bits[1, 5] = 2
         with pytest.raises(ValidationError):
             puf.evaluate_many(bits)
         with pytest.raises(ValidationError):
             Challenge(bits[1])
+        # values are checked before the cast to uint8, so none wraps or truncates
+        for wrong in (np.array([256, 1, 1]), np.array([0.7, 1.0, 0.0]), [256, 1, 1]):
+            with pytest.raises(ValidationError):
+                Challenge(wrong)
+        wide = np.zeros((3, 64), dtype=np.int64)
+        wide[2, 9] = 256
+        with pytest.raises(ValidationError):
+            puf.evaluate_many(wide)
         # challenges of unequal length do not stack into one matrix
         arbiter = create_puf("arbiter", 7, {"L": 64})
         ragged = [Challenge(np.zeros(64, dtype=np.uint8)),
@@ -305,14 +321,20 @@ class TestInvariants:
 
 
 class TestConfigFile:
-    def test_roundtrip_identical_device(self, tmp_path):
-        puf = photonic(seed=51, a=0.5, noise_sigma=0.03)
+    @pytest.mark.parametrize("kind, cfg", [
+        ("photonic", {"a": 0.5, "noise_sigma": 0.03}),
+        ("arbiter", {"L": 32, "replica_sigma": 0.1}),
+        ("sram", {}),
+    ], ids=["photonic", "arbiter", "sram"])
+    def test_roundtrip_identical_device(self, tmp_path, kind, cfg):
+        puf = create_puf(kind, 51, cfg)
         path = tmp_path / "dev.cfg"
         save_puf(path, puf)
         clone = load_puf(path)
-        c = rand_challenges(1)[0]
-        assert np.array_equal(clone.evaluate(c).bits, puf.evaluate(c).bits)
-        assert clone.env.noise_sigma == 0.03
+        c = rand_challenges(8, length=puf.challenge_len)
+        assert np.array_equal(clone.evaluate_many(c).bits, puf.evaluate_many(c).bits)
+        assert puf_to_kv(clone) == puf_to_kv(puf)
+        assert clone.noise_sigma == cfg.get("noise_sigma", 0.02)
 
     def test_kv_rejects_unknown_keys(self):
         kv = puf_to_kv(photonic())
@@ -409,8 +431,6 @@ def _oracle_intensities(puf, challenge_bits, table):
     p, n = puf.params.n_paths, len(table)
     a = round(puf.params.mem_decay * 2 ** 20)
     x = round(puf.params.kerr_coeff * n * 2 ** 8 / (2 * math.pi))
-    tau = round(puf.params.phase_temp_coeff * puf.env.temperature_delta
-                * n / (2 * math.pi))
     memory = [((a * c) >> 20, (a * s) >> 20) for c, s in table]
     inject = [_pairs(_counts(puf.inject0)), _pairs(_counts(puf.inject1))]
     detect = [_pairs(_counts(row)) for row in puf.detect]
@@ -429,7 +449,7 @@ def _oracle_intensities(puf, challenge_bits, table):
             y.append((re >> 20, im >> 20))
         s, m = [], []
         for yr, yi in y:
-            step = ((((yr * yr + yi * yi) >> 24) * x >> 24) + tau) % n
+            step = (((yr * yr + yi * yi) >> 24) * x >> 24) % n
             c, sn = table[step]
             ca, sa = memory[step]
             s.append(((yr * c - yi * sn) >> 20, (yr * sn + yi * c) >> 20))
