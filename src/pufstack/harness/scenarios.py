@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -59,15 +60,17 @@ class ScenarioConfig:
         unknown = set(kv) - known
         if unknown:
             raise ValidationError(f"unknown scenario keys: {sorted(unknown)}")
+        casts = {"int": int, "float": float}
         kwargs: dict = {}
         for key, value in kv.items():
-            target = cls.__dataclass_fields__[key].type
-            if target == "int":
-                kwargs[key] = int(value)
-            elif target == "float":
-                kwargs[key] = float(value)
-            else:
-                kwargs[key] = value
+            cast = casts.get(cls.__dataclass_fields__[key].type, str)
+            try:
+                kwargs[key] = cast(value)
+                if cast is float and not math.isfinite(kwargs[key]):
+                    raise ValueError
+            except ValueError:
+                raise ValidationError(
+                    f"scenario value {key} = {value!r} is not a finite {cast.__name__}") from None
         cfg = cls(**kwargs)
         cfg.validate()
         return cfg

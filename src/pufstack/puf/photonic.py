@@ -14,8 +14,10 @@ The model is chaotic, so it is defined in exact integer arithmetic: a device
 gives the same bits on every machine, BLAS build and memory layout.
 
 * Grid. Every fabricated entry is a multiple of q = 2^-20 with magnitude
-  <= 1. A complex field over P paths is carried as 2P integers (counts of q,
-  real and imaginary parts interleaved). ``floor`` acts on each real part.
+  <= 1. The stored arrays keep real and imaginary parts interleaved in
+  float64; the cascade reads them through complex128 views and carries a
+  field over P paths as a complex128 array whose parts are integers (counts
+  of q). ``floor`` acts on the real and on the imaginary part.
 * Phase table. C[k] + i*S[k] = round(2^20 * exp(2*pi*i*k/N)) for N = 4096,
   computed once from Machin's formula for pi and Taylor series in Python
   integers (no libm).
@@ -40,7 +42,11 @@ gives the same bits on every machine, BLAS build and memory layout.
 
 The arrays hold integers (or multiples of q) far below 2^53, so every product
 and every partial sum of a matmul is exact in float64 whatever the summation
-order; ``validate`` rejects parameters for which that bound could fail.
+order; ``validate`` rejects parameters for which that bound could fail. A
+complex multiply or matmul forms the same real products, and each of its
+partial sums is a partial sum of the same real dot product, bounded like it,
+so it is exact too, whether the real and imaginary parts accumulate apart or
+through fused multiply-adds.
 """
 
 from __future__ import annotations
@@ -186,11 +192,10 @@ def phase_table() -> np.ndarray:
 
 @functools.lru_cache(maxsize=16)
 def _rotations(scale: int) -> np.ndarray:
-    """(N, 2, 2) rotation matrices [[c, -s], [s, c]] * q with
-    (c, s) = floor(scale * table[k] * q), as float64."""
+    """(N,) complex rotations (c + i s) * q with
+    (c, s) = floor(scale * table[k] * q)."""
     cs = ((scale * phase_table()) >> GRID_BITS) * _GRID
-    c, s = cs[:, 0], cs[:, 1]
-    rot = np.stack([np.stack([c, -s], 1), np.stack([s, c], 1)], 1)
+    rot = cs.view(np.complex128).reshape(-1)
     rot.flags.writeable = False
     return rot
 
@@ -241,29 +246,25 @@ def _stage_blocks(rng: np.random.Generator, stages: int, p: int) -> np.ndarray:
     return rows * _GRID
 
 
-def _detect_block(detect: np.ndarray) -> np.ndarray:
-    """(M, 2P) tap rows -> (2P, 2M) so that emb(s) @ block = emb(D s)."""
-    m, width = detect.shape
-    d = detect.reshape(m, width // 2, 2)
-    block = np.empty((width // 2, 2, m, 2))
-    block[:, 0, :, 0] = d[..., 0].T
-    block[:, 0, :, 1] = d[..., 1].T
-    block[:, 1, :, 0] = -d[..., 1].T
-    block[:, 1, :, 1] = d[..., 0].T
-    return block.reshape(width, 2 * m)
+def _complex(interleaved: np.ndarray) -> np.ndarray:
+    """Interleaved re/im float64 values as complex128, zero-copy when the
+    array is C-contiguous."""
+    return np.ascontiguousarray(interleaved).view(np.complex128)
 
 
-def _rotate(y: np.ndarray, rot: np.ndarray) -> np.ndarray:
-    """floor(y * (c + i s)) per path; y is (B, P, 1, 2), rot is (B, P, 2, 2)."""
-    z = y * rot
-    return np.floor(z[..., 0] + z[..., 1]).reshape(y.shape[0], -1)
+def _floor(z: np.ndarray) -> np.ndarray:
+    """floor of the real and the imaginary part of z, in place."""
+    parts = z.view(np.float64)
+    np.floor(parts, out=parts)
+    return z
 
 
-def _intensities(field: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """|floor(D s)|^2 per tap in counts of q^2."""
-    amp = np.floor(field @ block)
-    power = amp * amp
-    return power[:, 0::2] + power[:, 1::2]
+def _intensities(state: np.ndarray, detect_t: np.ndarray) -> np.ndarray:
+    """|floor(D s)|^2 per tap in counts of q^2; ``state`` is (B, P) s and
+    ``detect_t`` is D^T (P, M)."""
+    amp = _floor(state @ detect_t).view(np.float64)
+    amp *= amp
+    return amp[:, 0::2] + amp[:, 1::2]
 
 
 class PhotonicPuf(PufInstance):
@@ -296,40 +297,35 @@ class PhotonicPuf(PufInstance):
 
     # -- propagation ------------------------------------------------------
 
-    def _propagate(self, bits_matrix: np.ndarray, trace: bool = False):
-        """Run the stage cascade; returns the final detector fields s_L
-        (B, 2P) in counts of q, optionally the per-stage raw intensity trace
-        (B, L, M) in counts of q^2. ``bits_matrix`` must already be a
-        validated (B, L) matrix of 0/1."""
-        b, p = len(bits_matrix), self.params.n_paths
+    def _propagate(self, bits_matrix: np.ndarray, trace: bool = False) -> np.ndarray:
+        """Run the stage cascade and detect: the raw intensities of s_L
+        (B, M) in counts of q^2, or with ``trace`` those of every s_t
+        (B, L, M). ``bits_matrix`` must already be a validated (B, L)
+        matrix of 0/1."""
         unit = _rotations(_Q)
         memory = _rotations(self.params.memory_steps())
         kerr = self.params.kerr_steps() * 2.0 ** -(POWER_BITS + KERR_BITS)
         level = 2.0 ** (POWER_BITS - 2 * GRID_BITS)
-        inject = np.stack([self.inject0, self.inject1]) * _Q
+        # row 2k of an interleaved stage block is column k of S_t
+        scatter = _complex(self.scatter)[:, 0::2]
+        inject = _complex(np.stack([self.inject0, self.inject1])) * _Q
+        detect_t = _complex(self.detect).T
         order = np.ascontiguousarray(bits_matrix.T, dtype=np.intp)
-        block = _detect_block(self.detect) if trace else None
-        mem = np.zeros((b, 2 * p))
+        mem = 0.0
         stages = []
         for t in range(self.challenge_len):
-            y = np.floor((inject.take(order[t], axis=0) + mem) @ self.scatter[t])
-            power = y * y
-            power = np.floor((power[:, 0::2] + power[:, 1::2]) * level)
+            y = _floor((inject.take(order[t], axis=0) + mem) @ scatter[t])
+            power = np.floor((y * y.conj()).real * level)
             steps = np.floor(power * kerr).astype(np.intp)
-            y = y.reshape(b, p, 1, 2)
             if trace or t == self.challenge_len - 1:
-                state = _rotate(y, unit.take(steps, axis=0, mode="wrap"))
-                if trace:
-                    stages.append(_intensities(state, block))
-            mem = _rotate(y, memory.take(steps, axis=0, mode="wrap"))
-        if trace:
-            return state, np.stack(stages, axis=1)
-        return state, None
+                stages.append(_intensities(
+                    _floor(y * unit.take(steps, mode="wrap")), detect_t))
+            mem = _floor(y * memory.take(steps, mode="wrap"))
+        return np.stack(stages, axis=1) if trace else stages[0]
 
     def _raw(self, bits_matrix: np.ndarray) -> np.ndarray:
         """``raw_intensities`` of an already validated matrix."""
-        state, _ = self._propagate(bits_matrix)
-        return _intensities(state, _detect_block(self.detect)) * _GRID ** 2
+        return self._propagate(bits_matrix) * _GRID ** 2
 
     def raw_intensities(self, bits_matrix) -> np.ndarray:
         """Noiseless detected intensities in raw (pre-gain) units, (B, M)."""
@@ -337,7 +333,7 @@ class PhotonicPuf(PufInstance):
 
     def stage_trace(self, challenge: Challenge) -> np.ndarray:
         """Per-stage noiseless intensities (L, M); used to probe the memory term."""
-        _, trace = self._propagate(self._challenge_rows(challenge.bits[None, :]), trace=True)
+        trace = self._propagate(self._challenge_rows(challenge.bits[None, :]), trace=True)
         return trace[0] * _GRID ** 2
 
     def evaluate_analog(self, bits_matrix: np.ndarray) -> np.ndarray:

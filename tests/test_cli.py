@@ -158,6 +158,13 @@ class TestDemos:
         cfg.write_text("trials = 0\n")
         assert run(["demo-auth", "--config", cfg, "--out", tmp_path / "o"]) == 2
 
+    @pytest.mark.parametrize("key, value", [("trials", "many"), ("budget_factor", "nan")])
+    def test_non_numeric_scenario_value_exits_2(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        assert run(["demo-auth", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        assert key in capsys.readouterr().err
+
 
 class TestAttack:
     def test_arbiter_attack_report(self, tmp_path, capsys):

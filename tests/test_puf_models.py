@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -236,6 +237,15 @@ class TestInvariants:
         diff = np.abs(t0 - t1).max(axis=1)
         assert np.all(diff[:20] == 0)
         assert np.all(diff[20:] > 0)
+
+    def test_stage_trace_pinned(self):
+        puf = create_puf("photonic", 1, {"noise_sigma": 0.0})
+        c = Challenge(puf.random_challenges("stage-trace", 1)[0])
+        trace = puf.stage_trace(c)
+        assert trace.shape == (64, 128)
+        assert hashlib.sha256(trace.astype("<f8").tobytes()).hexdigest() == \
+            "7a112c27f1f617428497b95664d2a5c860bf7f4e34481f2decd81025be20d772"
+        assert np.array_equal(trace[-1], puf.raw_intensities(c.bits[None, :])[0])
 
     def test_avalanche_bound(self):
         # regression bound: one flipped challenge bit flips >= 0.3*M bits
@@ -557,3 +567,24 @@ def test_device_identity_is_platform_and_layout_independent():
         return device.evaluate_analog(bits) >= device.thresholds
 
     assert np.mean(quantized(moved) != quantized(puf)) < 1e-3
+
+
+_BATCH_PROBE = """
+import hashlib
+from pufstack.puf import create_puf
+puf = create_puf("photonic", 1, {"noise_sigma": 0.0})
+raw = puf.raw_intensities(puf.random_challenges("batch", 256))
+print(hashlib.sha256(raw.astype("<f8").tobytes()).hexdigest())
+"""
+
+
+def test_batched_intensities_are_platform_independent():
+    # batch-256 products may take other BLAS kernels than the batch-1 reads
+    # of _PROBE
+    src = str(Path(pufstack.__file__).resolve().parents[1])
+    for extra in [{}] + _ENVIRONMENTS:
+        env = {**os.environ, "PYTHONPATH": src, **extra}
+        out = subprocess.run([sys.executable, "-c", _BATCH_PROBE], capture_output=True,
+                             text=True, check=True, env=env).stdout
+        assert out.strip() == \
+            "b8d3b84ee43fd772581eb2dae9b7fc6b481cf1aeb2c1ff8c2f8cd355b278b66a", extra
