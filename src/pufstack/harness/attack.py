@@ -31,10 +31,16 @@ def harvest_crps(puf: PufInstance, n: int,
     return puf.evaluate_many(challenges, noise_rng)
 
 
+LEARNING_RATE = 0.5
+ITERATIONS = 500
+# Rows per partial sum of the gradient, fixed rather than a setting: 100
+# steps on 5000 CRPs and four response bits took about 40 ms in 1000-row
+# tiles, 80 ms whole-batch and 100 ms as four single-bit fits.
+FIT_TILE = 1000
+
+
 @dataclass
 class AttackConfig:
-    learning_rate: float = 0.5
-    iterations: int = 500
     target_bits: Sequence[int] = (0,)
 
 
@@ -70,12 +76,20 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 def fit_logistic(features: np.ndarray, labels: np.ndarray,
                  learning_rate: float, iterations: int) -> np.ndarray:
-    """Full-batch gradient descent on logistic loss; returns the weights."""
+    """Full-batch gradient descent on logistic loss; returns the weights.
+
+    ``labels`` of shape (n,) give weights of shape (d,); labels of shape
+    (n, K) fit K independent models at once and give weights (d, K). Each
+    step sums the gradient x^T (sigmoid(x w) - y) over row tiles of
+    ``FIT_TILE`` rows, then moves w by ``learning_rate`` times its mean.
+    """
     n = features.shape[0]
-    w = np.zeros(features.shape[1])
+    tiles = [(features[i:i + FIT_TILE], labels[i:i + FIT_TILE])
+             for i in range(0, n, FIT_TILE)]
+    w = np.zeros(features.shape[1:] + labels.shape[1:])
     for _ in range(iterations):
-        p = _sigmoid(features @ w)
-        w -= learning_rate * (features.T @ (p - labels)) / n
+        gradient = sum(x.T @ (_sigmoid(x @ w) - y) for x, y in tiles)
+        w -= learning_rate * gradient / n
     return w
 
 
@@ -85,7 +99,8 @@ def _packed_rows(challenges: np.ndarray) -> list[bytes]:
 
 def modeling_attack(crps_train: CrpBatch, crps_test: CrpBatch,
                     config: Optional[AttackConfig] = None) -> ModelingAttackResult:
-    """Fit one linear-threshold model per target response bit."""
+    """Fit one linear-threshold model per target response bit, all in one
+    ``fit_logistic`` call."""
     config = config if config is not None else AttackConfig()
     if len(crps_train) == 0 or len(crps_test) == 0:
         raise ValidationError("attack needs non-empty train and test sets")
@@ -95,22 +110,19 @@ def modeling_attack(crps_train: CrpBatch, crps_test: CrpBatch,
 
     x_train = parity_features(crps_train.challenges)
     x_test = parity_features(crps_test.challenges)
-    status = "ok"
-    per_bit: dict[int, float] = {}
-    train_accs = []
-    for b in config.target_bits:
-        y_train = crps_train.bits[:, b].astype(np.float64)
-        y_test = crps_test.bits[:, b].astype(np.float64)
-        if y_train.min() == y_train.max():
-            # single-class training set: trivial constant classifier
-            status = "degenerate"
-            const = y_train[0]
-            per_bit[b] = float(np.mean(y_test == const))
-            train_accs.append(1.0)
-            continue
-        w = fit_logistic(x_train, y_train, config.learning_rate, config.iterations)
-        train_accs.append(float(np.mean((x_train @ w >= 0) == y_train)))
-        per_bit[b] = float(np.mean((x_test @ w >= 0) == y_test))
+    columns = list(config.target_bits)
+    y_train = crps_train.bits[:, columns].astype(np.float64)
+    y_test = crps_test.bits[:, columns].astype(np.float64)
+    # a single-class training bit gets the trivial constant classifier
+    constant = y_train.min(axis=0) == y_train.max(axis=0)
+    guess_train = np.tile(y_train[0], (len(y_train), 1))
+    guess_test = np.tile(y_train[0], (len(y_test), 1))
+    w = fit_logistic(x_train, y_train[:, ~constant], LEARNING_RATE, ITERATIONS)
+    guess_train[:, ~constant] = x_train @ w >= 0
+    guess_test[:, ~constant] = x_test @ w >= 0
+    train_accs = np.mean(guess_train == y_train, axis=0)
+    per_bit = {b: float(acc) for b, acc in
+               zip(columns, np.mean(guess_test == y_test, axis=0))}
 
     return ModelingAttackResult(
         train_size=len(crps_train),
@@ -119,6 +131,6 @@ def modeling_attack(crps_train: CrpBatch, crps_test: CrpBatch,
         train_accuracy=float(np.mean(train_accs)),
         test_accuracy=float(np.mean(list(per_bit.values()))),
         per_bit_test_accuracy=per_bit,
-        iterations=config.iterations,
-        status=status,
+        iterations=ITERATIONS,
+        status="degenerate" if constant.any() else "ok",
     )

@@ -43,6 +43,9 @@ class ScenarioConfig:
             raise ValidationError("protocol must be 'auth' or 'attest'")
         if self.trials < 1:
             raise ValidationError("trials must be >= 1")
+        for key in ("memory_bytes", "chunk_bytes"):
+            if getattr(self, key) < 1:
+                raise ValidationError(f"{key} must be >= 1")
         if self.protocol == "auth" and self.adversary not in AUTH_ADVERSARIES:
             raise ValidationError(f"auth adversary must be one of {AUTH_ADVERSARIES}")
         if self.protocol == "attest" and self.adversary not in ATTEST_ADVERSARIES:

@@ -69,6 +69,10 @@ KERR_BITS = 8                  # fractional table steps resolved by kerr_coeff
 NORM_BOUND = 1.0 + 2.0 ** -8   # checked upper bound on each stage operator norm
 EXACT_LIMIT = 2.0 ** 53        # float64 holds every integer below this exactly
 CALIB_SAMPLES = 256            # challenges used for creation-time calibration
+# Rows per _propagate call, fixed rather than a setting: a 6000-row batch
+# propagated about 1.5x faster in 512-row tiles than whole (512 to 1024
+# measured alike), and its (B, P) temporaries stay tile-sized.
+PROPAGATE_TILE = 512
 
 _Q = 1 << GRID_BITS
 _GRID = 2.0 ** -GRID_BITS
@@ -324,7 +328,16 @@ class PhotonicPuf(PufInstance):
         return np.stack(stages, axis=1) if trace else stages[0]
 
     def _raw(self, bits_matrix: np.ndarray) -> np.ndarray:
-        """``raw_intensities`` of an already validated matrix."""
+        """``raw_intensities`` of an already validated matrix.
+
+        A batch of more than ``PROPAGATE_TILE`` rows is propagated in
+        consecutive row tiles and concatenated. Each row propagates on its
+        own in exact integers, so tiling moves no value.
+        """
+        rows = len(bits_matrix)
+        if rows > PROPAGATE_TILE:
+            return np.concatenate([self._raw(bits_matrix[i:i + PROPAGATE_TILE])
+                                   for i in range(0, rows, PROPAGATE_TILE)])
         return self._propagate(bits_matrix) * _GRID ** 2
 
     def raw_intensities(self, bits_matrix) -> np.ndarray:

@@ -165,6 +165,13 @@ class TestDemos:
         assert run(["demo-auth", "--config", cfg, "--out", tmp_path / "o"]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["chunk_bytes", "memory_bytes"])
+    def test_empty_attest_size_exits_2(self, tmp_path, capsys, key):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(f"protocol = attest\nadversary = none\n{key} = 0\n")
+        assert run(["demo-attest", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        assert key in capsys.readouterr().err
+
 
 class TestAttack:
     def test_arbiter_attack_report(self, tmp_path, capsys):

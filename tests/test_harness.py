@@ -170,6 +170,34 @@ class TestModelingAttack:
         w = fit_logistic(x, y, 0.5, 500)
         assert np.mean((x @ w >= 0) == y) >= 0.95
 
+    def test_fit_logistic_fits_label_columns_at_once(self):
+        # 2500 rows span two full gradient tiles and a partial one; the
+        # reference is whole-batch descent on one column at a time
+        rng = np.random.default_rng(11)
+        x = parity_features(rng.integers(0, 2, size=(2500, 8), dtype=np.uint8))
+        y = (x @ rng.normal(size=(9, 3)) + rng.normal(size=(2500, 3)) >= 0).astype(np.float64)
+        w = fit_logistic(x, y, 0.5, 200)
+        assert w.shape == (9, 3)
+        for k in range(3):
+            reference = np.zeros(9)
+            for _ in range(200):
+                p = 0.5 * (1.0 + np.tanh(0.5 * (x @ reference)))
+                reference -= 0.5 * (x.T @ (p - y[:, k])) / len(x)
+            single = fit_logistic(x, y[:, k], 0.5, 200)
+            for fitted in (w[:, k], single):
+                assert np.allclose(fitted, reference, rtol=0, atol=1e-12)
+                assert np.array_equal(x @ fitted >= 0, x @ reference >= 0)
+
+    def test_degenerate_bit_beside_fitted_bit(self):
+        crps = harvest_crps(create_puf("arbiter", 12), 1200,
+                            challenge_rng=np.random.default_rng(9))
+        crps.bits[:, 0] = 0
+        both = modeling_attack(crps[:1000], crps[1000:], AttackConfig(target_bits=(0, 1)))
+        alone = modeling_attack(crps[:1000], crps[1000:], AttackConfig(target_bits=(1,)))
+        assert both.status == "degenerate" and alone.status == "ok"
+        assert both.per_bit_test_accuracy[0] == 1.0
+        assert both.per_bit_test_accuracy[1] == alone.per_bit_test_accuracy[1]
+
     def test_result_kv_serialization(self):
         crps = harvest_crps(create_puf("arbiter", 10), 120,
                             challenge_rng=np.random.default_rng(8))

@@ -247,6 +247,16 @@ class TestInvariants:
             "7a112c27f1f617428497b95664d2a5c860bf7f4e34481f2decd81025be20d772"
         assert np.array_equal(trace[-1], puf.raw_intensities(c.bits[None, :])[0])
 
+    def test_tiled_batch_pinned(self):
+        # 1100 rows run as two full propagation tiles and a partial one
+        puf = create_puf("photonic", 1, {"noise_sigma": 0.0})
+        bits = puf.random_challenges("tiles", 1100)
+        raw = puf.raw_intensities(bits)
+        assert hashlib.sha256(raw.astype("<f8").tobytes()).hexdigest() == \
+            "fa3e54f2df9b00be2db8032442016e7c55f8dcfb604df846fb5e0af68d0b54e2"
+        for row in (0, 511, 512, 1023, 1024, 1099):
+            assert np.array_equal(raw[row], puf.raw_intensities(bits[row:row + 1])[0])
+
     def test_avalanche_bound(self):
         # regression bound: one flipped challenge bit flips >= 0.3*M bits
         puf = photonic(seed=37)
