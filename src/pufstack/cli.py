@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import struct
 import sys
 from pathlib import Path
 
@@ -27,16 +26,12 @@ from .harness import (AttackConfig, ScenarioConfig, harvest_crps,
 from .metrics import (FilterBand, MetricsReport, band_sweep, compute_metrics,
                       decision_rates, pairwise_hd, population_responses)
 from .puf import challenge_matrix, create_puf
-from .xof import derive_rng, expand
+from .xof import derive_rng, expand, seed_bytes
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_PROTOCOL = 3
 EXIT_IO = 4
-
-
-def _seed_bytes(seed: int) -> bytes:
-    return struct.pack(">q", seed).rjust(32, b"\x00")
 
 
 def _outdir(args) -> Path:
@@ -65,7 +60,7 @@ def cmd_gen(args) -> int:
     out = _outdir(args)
     base = read_kv(args.config) if args.config else {"kind": "photonic"}
     base.pop("seed", None)
-    run_seed = _seed_bytes(args.seed)
+    run_seed = seed_bytes(args.seed)
     for i in range(args.count):
         device_seed = expand(run_seed, f"device-{i}", 32)
         cfg = {k: v for k, v in base.items() if k != "kind"}
@@ -88,7 +83,7 @@ def _load_devices(paths) -> list:
 def _population_report(args, pufs, noise_label: str) -> MetricsReport:
     """Metrics of ``pufs`` on the run's shared challenges; FAR/FRR only when
     there are noisy re-reads to give genuine distances."""
-    seed = _seed_bytes(args.seed)
+    seed = seed_bytes(args.seed)
     challenges = challenge_matrix(seed, "cli-challenges", args.challenges,
                                   pufs[0].challenge_len)
     golden, _, reevals = population_responses(pufs, challenges, args.reevals,
@@ -123,10 +118,12 @@ def _parse_grid(spec: str) -> list[FilterBand]:
     # "dmin1:dmax1,dmin2:dmax2,..."  ("inf" allowed as dmax)
     bands = []
     for part in spec.split(","):
-        lo, hi = part.split(":")
-        bands.append(FilterBand(float(lo), float(hi)))
-    if not bands:
-        raise ValidationError("band grid must be non-empty")
+        try:
+            lo, hi = (float(x) for x in part.split(":"))
+        except ValueError:
+            raise ValidationError(
+                f"grid band {part!r} is not of the form dmin:dmax") from None
+        bands.append(FilterBand(lo, hi))
     return bands
 
 
@@ -137,7 +134,7 @@ DEFAULT_GRID = ("0:inf,0.01:inf,0.02:inf,0.03:inf,0.04:inf,0.05:inf,"
 def cmd_sweep_filter(args) -> int:
     out = _outdir(args)
     pufs = _load_devices(args.devices)
-    seed = _seed_bytes(args.seed)
+    seed = seed_bytes(args.seed)
     challenges = challenge_matrix(seed, "cli-challenges", args.challenges,
                                   pufs[0].challenge_len)
     noise_rng = derive_rng(seed, "cli-sweep-noise")
@@ -161,22 +158,29 @@ def cmd_sweep_filter(args) -> int:
     return EXIT_OK
 
 
-def _scenario_from_args(args, protocol: str) -> ScenarioConfig:
-    if args.config:
-        cfg = ScenarioConfig.from_kv(read_kv(args.config))
-    else:
-        cfg = ScenarioConfig(protocol=protocol)
-    cfg.protocol = protocol
+def _scenario_from_args(args, protocol: str,
+                        honest_adversary: str) -> ScenarioConfig:
+    """The config file's scenario, if any, under the command line's
+    protocol, seed, trials and adversary; the adversary defaults to the
+    honest one."""
+    kv = read_kv(args.config) if args.config else {}
+    kv["protocol"] = protocol
+    kv["run_seed"] = str(args.seed)
+    kv.setdefault("adversary", honest_adversary)
+    if args.adversary:
+        kv["adversary"] = args.adversary
     if args.trials is not None:
-        cfg.trials = args.trials
-    if getattr(args, "adversary", None):
-        cfg.adversary = args.adversary
-    cfg.run_seed = args.seed
-    cfg.validate()
-    return cfg
+        kv["trials"] = str(args.trials)
+    return ScenarioConfig.from_kv(kv)
 
 
-def _emit_scenario(args, report) -> None:
+def _run_demo(args, protocol: str, honest_adversary: str) -> int:
+    cfg = _scenario_from_args(args, protocol, honest_adversary)
+    report = run_scenario(cfg)
+    print(f"{report.accepts}/{report.trials} accepted; "
+          f"adversary successes: {report.adversary_successes}")
+    for reason, count in sorted(report.rejects.items()):
+        print(f"  reject {reason}: {count}")
     out = _outdir(args)
     write_kv(out / "scenario.kv", report.to_kv())
     with open(out / "trials.csv", "w", newline="") as fh:
@@ -184,37 +188,22 @@ def _emit_scenario(args, report) -> None:
         writer.writerow(["trial", "outcome", "reason", "adversarial"])
         writer.writerows(report.trial_rows)
     _write_manifest(args, out)
+    if cfg.adversary == honest_adversary and report.accepts != report.trials:
+        raise ProtocolStateError(f"honest {protocol} runs failed")
+    return EXIT_OK
 
 
 def cmd_demo_auth(args) -> int:
-    cfg = _scenario_from_args(args, "auth")
-    report = run_scenario(cfg)
-    print(f"{report.accepts}/{report.trials} accepted; "
-          f"adversary successes: {report.adversary_successes}")
-    for reason, count in sorted(report.rejects.items()):
-        print(f"  reject {reason}: {count}")
-    _emit_scenario(args, report)
-    if cfg.adversary == "passive" and report.accepts != report.trials:
-        raise ProtocolStateError("honest sessions failed")
-    return EXIT_OK
+    return _run_demo(args, "auth", "passive")
 
 
 def cmd_demo_attest(args) -> int:
-    cfg = _scenario_from_args(args, "attest")
-    report = run_scenario(cfg)
-    print(f"{report.accepts}/{report.trials} accepted; "
-          f"adversary successes: {report.adversary_successes}")
-    for reason, count in sorted(report.rejects.items()):
-        print(f"  reject {reason}: {count}")
-    _emit_scenario(args, report)
-    if cfg.adversary == "none" and report.accepts != report.trials:
-        raise ProtocolStateError("honest attestations failed")
-    return EXIT_OK
+    return _run_demo(args, "attest", "none")
 
 
 def cmd_attack(args) -> int:
     out = _outdir(args)
-    seed = _seed_bytes(args.seed)
+    seed = seed_bytes(args.seed)
     results = {}
     for kind in args.kinds:
         puf = create_puf(kind, expand(seed, f"attack-target-{kind}", 32))
@@ -232,7 +221,7 @@ def cmd_attack(args) -> int:
 
 def cmd_bench(args) -> int:
     out = _outdir(args)
-    seed = _seed_bytes(args.seed)
+    seed = seed_bytes(args.seed)
     pufs = [create_puf("photonic", expand(seed, f"bench-device-{i}", 32))
             for i in range(args.devices)]
     report = _population_report(args, pufs, "bench-noise")

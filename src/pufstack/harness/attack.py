@@ -108,9 +108,15 @@ def modeling_attack(crps_train: CrpBatch, crps_test: CrpBatch,
     if any(key in train_keys for key in _packed_rows(crps_test.challenges)):
         raise ValidationError("test challenges must be disjoint from training")
 
+    columns = list(config.target_bits)
+    width = crps_train.bits.shape[1]
+    for b in columns:
+        if not 0 <= b < width:
+            raise ValidationError(
+                f"target bit {b} is outside the response bits [0, {width})")
+
     x_train = parity_features(crps_train.challenges)
     x_test = parity_features(crps_test.challenges)
-    columns = list(config.target_bits)
     y_train = crps_train.bits[:, columns].astype(np.float64)
     y_test = crps_test.bits[:, columns].astype(np.float64)
     # a single-class training bit gets the trivial constant classifier

@@ -1,8 +1,9 @@
 """In-order simulated channel with a pluggable adversary.
 
-The channel is discrete-event with integer latency; protocol logic, not
-network realism, is what the harness exercises. Every adversarial action is
-logged so scenario reports can trace each success to a concrete action.
+The channel is discrete-event: every message advances its clock by one
+unit. Protocol logic, not network realism, is what the harness exercises.
+Every adversarial action is logged so scenario reports can trace each
+success to a concrete action.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ class AdversaryPolicy:
     mode: str = "passive"
     p: float = 0.0                      # action probability for bitflip/drop
     rule: Optional[Callable[[bytes], Optional[bytes]]] = None  # for modify
-    harvest: bool = False
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -31,8 +31,6 @@ class AdversaryPolicy:
             raise ValidationError("adversary probability must lie in [0, 1]")
         if self.mode == "modify" and self.rule is None:
             raise ValidationError("modify mode needs a rule")
-        if self.mode in ("replay",):
-            self.harvest = True
 
 
 @dataclass
@@ -44,14 +42,13 @@ class ChannelMessage:
 
 
 class Channel:
-    """One-direction-agnostic in-order pipe between two endpoints."""
+    """One-direction-agnostic in-order pipe between two endpoints. A replay
+    adversary keeps a copy of every payload in ``harvested``."""
 
     def __init__(self, policy: AdversaryPolicy,
-                 rng: Optional[np.random.Generator] = None,
-                 latency: int = 1):
+                 rng: Optional[np.random.Generator] = None):
         self.policy = policy
         self.rng = rng
-        self.latency = latency
         self.clock = 0
         self.log: list[dict] = []
         self.harvested: list[bytes] = []
@@ -62,11 +59,10 @@ class Channel:
     def transmit(self, payload: bytes, sender: str) -> list[ChannelMessage]:
         """Push one message through the adversary; returns delivered copies
         (possibly none, possibly altered)."""
-        self.clock += self.latency
-        if self.policy.harvest:
-            self.harvested.append(payload)
-
+        self.clock += 1
         mode = self.policy.mode
+        if mode == "replay":
+            self.harvested.append(payload)
         if mode in ("passive", "replay"):
             return [ChannelMessage(payload, sender, self.clock)]
 
@@ -95,6 +91,6 @@ class Channel:
 
     def inject(self, payload: bytes) -> ChannelMessage:
         """Adversary-originated traffic (replay or forgery)."""
-        self.clock += self.latency
+        self.clock += 1
         self._log("inject", "adversary")
         return ChannelMessage(payload, "adversary", self.clock, adversarial=True)

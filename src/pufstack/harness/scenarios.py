@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -15,7 +14,7 @@ from ..protocols.auth import (AuthMessage1, AuthMessage2, AuthRequest,
                               DeviceSession, VerifierSession,
                               MSG_DEVICE_RESPONSE, enroll_secret)
 from ..puf import Challenge, create_puf
-from ..xof import derive_rng, expand
+from ..xof import derive_rng, expand, seed_bytes
 from .channel import AdversaryPolicy, Channel
 
 AUTH_ADVERSARIES = ("passive", "replay", "bitflip", "drop", "modify")
@@ -78,9 +77,6 @@ class ScenarioConfig:
         cfg.validate()
         return cfg
 
-    def seed_bytes(self) -> bytes:
-        return struct.pack(">q", self.run_seed).rjust(32, b"\x00")
-
 
 @dataclass
 class ScenarioReport:
@@ -124,7 +120,7 @@ def run_scenario(config: ScenarioConfig,
 
 
 def _run_auth(config: ScenarioConfig, modify_rule) -> ScenarioReport:
-    seed = config.seed_bytes()
+    seed = seed_bytes(config.run_seed)
     puf = create_puf(config.puf_kind, expand(seed, "scenario-device-seed", 32), {
         "L": config.challenge_len, "M": config.response_len,
         "noise_sigma": config.noise_sigma,
@@ -223,7 +219,7 @@ def _auth_trial(device: DeviceSession, verifier: VerifierSession,
 
 
 def _run_attest(config: ScenarioConfig) -> ScenarioReport:
-    seed = config.seed_bytes()
+    seed = seed_bytes(config.run_seed)
     # noiseless device: the verifier's model must agree bit-exactly
     puf = create_puf(config.puf_kind, expand(seed, "scenario-device-seed", 32), {
         "L": config.challenge_len, "M": config.response_len, "noise_sigma": 0.0,

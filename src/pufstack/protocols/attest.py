@@ -23,13 +23,13 @@ import numpy as np
 
 from ..errors import FormatError, ValidationError
 from ..puf import Challenge, PufInstance
-from ..xof import bytes_to_bits, expand, seeded_permutation
+from ..xof import expand, seeded_permutation
 
 MSG_ATTESTATION_REPORT = 0x04
 
 # simulated latency model, integer time units (ns-scale)
 PUF_BITRATE_BITS_PER_UNIT = 5   # "at least 5 Gb/s" -> 5 bits per ns
-DEFAULT_HASH_UNITS_PER_CHUNK = 64
+HASH_UNITS_PER_CHUNK = 64
 DEFAULT_CHUNK_BYTES = 4096
 
 
@@ -91,41 +91,41 @@ def derive_walk(first_response: bytes, timestamp: int, n_chunks: int) -> np.ndar
 
 def _response_to_challenge(response: bytes, length: int) -> Challenge:
     """Width adaptation: expander truncation of the response bytes."""
-    raw = expand(response, "attest-chain-challenge", (length + 7) // 8)
-    return Challenge(bytes_to_bits(raw, length))
+    return Challenge.from_bytes(
+        expand(response, "attest-chain-challenge", (length + 7) // 8), length)
 
 
-def _hash_chain(chunks: list[bytes], walk: np.ndarray, puf: PufInstance,
-                first_response: bytes) -> bytes:
-    r = first_response
+def _final_hash(request: AttestationRequest, memory: bytes, puf: PufInstance,
+                chunk_size: int) -> bytes:
+    """h_n over ``memory``: the walk from r_1 and the timestamp, each link
+    SHA-256(chunk || r_i || h_{i-1}) with r_{i+1} the response to r_i.
+    The device and the verifier both compute exactly this."""
+    if len(request.challenge) != puf.challenge_len:
+        raise ValidationError("request challenge length does not match the PUF")
+    chunks = memory_chunks(memory, chunk_size)
+    r = puf.evaluate(request.challenge).to_bytes()
     h = b""
-    for step, idx in enumerate(walk):
+    for step, idx in enumerate(derive_walk(r, request.timestamp, len(chunks))):
         if step > 0:
             r = puf.evaluate(_response_to_challenge(r, puf.challenge_len)).to_bytes()
         h = hashlib.sha256(chunks[int(idx)] + r + h).digest()
     return h
 
 
-def honest_elapsed(n_chunks: int, challenge_len: int,
-                   hash_units: int = DEFAULT_HASH_UNITS_PER_CHUNK) -> int:
+def honest_elapsed(n_chunks: int, challenge_len: int) -> int:
     puf_units = -(-challenge_len // PUF_BITRATE_BITS_PER_UNIT)
-    return n_chunks * (hash_units + puf_units)
+    return n_chunks * (HASH_UNITS_PER_CHUNK + puf_units)
 
 
 def device_attest(request: AttestationRequest, memory: bytes, puf: PufInstance,
                   chunk_size: int = DEFAULT_CHUNK_BYTES,
-                  hash_units: int = DEFAULT_HASH_UNITS_PER_CHUNK,
                   per_chunk_overhead: float = 1.0) -> AttestationReport:
     """Run the attestation walk. ``per_chunk_overhead`` > 1 models an
     adversary paying extra latency per chunk (e.g. relocating memory)."""
-    if len(request.challenge) != puf.challenge_len:
-        raise ValidationError("request challenge length does not match the PUF")
-    chunks = memory_chunks(memory, chunk_size)
-    r1 = puf.evaluate(request.challenge).to_bytes()
-    walk = derive_walk(r1, request.timestamp, len(chunks))
-    final = _hash_chain(chunks, walk, puf, r1)
+    final = _final_hash(request, memory, puf, chunk_size)
+    n_chunks = -(-len(memory) // chunk_size)
     elapsed = int(round(per_chunk_overhead
-                        * honest_elapsed(len(chunks), puf.challenge_len, hash_units)))
+                        * honest_elapsed(n_chunks, puf.challenge_len)))
     return AttestationReport(request.timestamp, final, elapsed)
 
 
@@ -141,11 +141,8 @@ def verifier_attest_check(request: AttestationRequest, report: AttestationReport
                           chunk_size: int = DEFAULT_CHUNK_BYTES) -> AttestationVerdict:
     """Recompute h_n from the golden image and the PUF model; accept iff the
     hash matches and the reported time is within budget."""
-    chunks = memory_chunks(golden_memory, chunk_size)
-    r1 = puf_model.evaluate(request.challenge).to_bytes()
-    walk = derive_walk(r1, request.timestamp, len(chunks))
-    expected = _hash_chain(chunks, walk, puf_model, r1)
-    if report.final_hash != expected:
+    if report.final_hash != _final_hash(request, golden_memory, puf_model,
+                                        chunk_size):
         return AttestationVerdict(False, "HashMismatch")
     if report.elapsed > time_budget:
         return AttestationVerdict(False, "Timeout")

@@ -2,8 +2,8 @@
 
 Session i: the device derives the next challenge from the current secret
 r_i with the deterministic expander, reads the fresh response r_{i+1} from
-its PUF, and sends it masked (XOR r_i) together with a memory hash, a clock
-count, and a fresh nonce, all MAC'd under r_i. The verifier authenticates,
+its PUF, and sends it masked (XOR r_i) together with a memory hash and a
+fresh nonce, all MAC'd under r_i. The verifier authenticates,
 unmasks r_{i+1}, and proves knowledge of it by MACing the derived
 challenge back. Both parties then roll over to r_{i+1}; the verifier keeps
 the previous secret for one epoch so a lost confirmation cannot strand the
@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -26,7 +26,7 @@ import numpy as np
 from ..errors import (AuthenticationError, FormatError, ProtocolStateError,
                       ReplayError, ValidationError)
 from ..puf import Challenge, PufInstance, stabilized_response
-from ..xof import expand, bytes_to_bits
+from ..xof import expand
 
 MSG_AUTH_REQUEST = 0x01
 MSG_DEVICE_RESPONSE = 0x02
@@ -39,8 +39,8 @@ CHALLENGE_LABEL = "auth-next-challenge"
 
 def derive_next_challenge(secret: bytes, length: int) -> Challenge:
     """The RNG known to both parties: expander keyed by the current secret."""
-    raw = expand(secret, CHALLENGE_LABEL, (length + 7) // 8)
-    return Challenge(bytes_to_bits(raw, length))
+    return Challenge.from_bytes(
+        expand(secret, CHALLENGE_LABEL, (length + 7) // 8), length)
 
 
 def _mac(key: bytes, payload: bytes) -> bytes:
@@ -95,27 +95,22 @@ class AuthMessage1:
     session: int
     masked: bytes       # r_{i+1} XOR r_i
     mem_hash: bytes     # H: SHA-256 of the device memory image
-    clock_count: int    # CC: asserted cycle-count metadata
     nonce: bytes        # N: freshness
     mac: bytes
 
-    def _fields(self) -> list[bytes]:
-        return [self.masked, self.mem_hash,
-                struct.pack(">Q", self.clock_count), self.nonce]
-
     def signed_payload(self) -> bytes:
-        return _frame_fields(MSG_DEVICE_RESPONSE, self.session, self._fields())
+        return _frame_fields(MSG_DEVICE_RESPONSE, self.session,
+                             [self.masked, self.mem_hash, self.nonce])
 
     def to_bytes(self) -> bytes:
         return self.signed_payload() + self.mac
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "AuthMessage1":
-        session, fields, mac = _parse_fields(raw, MSG_DEVICE_RESPONSE, 4)
-        if len(fields[1]) != 32 or len(fields[2]) != 8:
-            raise FormatError("bad auth message field widths")
-        return cls(session, fields[0], fields[1],
-                   struct.unpack(">Q", fields[2])[0], fields[3], mac)
+        session, fields, mac = _parse_fields(raw, MSG_DEVICE_RESPONSE, 3)
+        if len(fields[1]) != 32:
+            raise FormatError("auth message mem_hash must be 32 bytes")
+        return cls(session, *fields, mac)
 
 
 @dataclass(frozen=True)
@@ -143,13 +138,12 @@ class DeviceSession:
                  memory_image: bytes = b"",
                  nonce_rng: Optional[np.random.Generator] = None,
                  noise_rng: Optional[np.random.Generator] = None,
-                 clock_count: int = 1000, stabilize_votes: int = 9):
+                 stabilize_votes: int = 9):
         self.puf = puf
         self.secret = initial_secret
         self.memory_image = memory_image
         self.counter = 0
         self.status = "stable"
-        self.clock_count = clock_count
         self._nonce_rng = nonce_rng
         self._noise_rng = noise_rng
         self._votes = stabilize_votes
@@ -172,13 +166,10 @@ class DeviceSession:
             session=self.counter,
             masked=masked,
             mem_hash=hashlib.sha256(self.memory_image).digest(),
-            clock_count=self.clock_count,
             nonce=self._fresh_nonce(),
             mac=b"",
         )
-        mac = _mac(self.secret, msg.signed_payload())
-        msg = AuthMessage1(msg.session, msg.masked, msg.mem_hash,
-                           msg.clock_count, msg.nonce, mac)
+        msg = replace(msg, mac=_mac(self.secret, msg.signed_payload()))
         self._pending_secret = fresh
         self._pending_challenge = challenge
         self.status = "pending_verifier"

@@ -44,6 +44,14 @@ def expand_bits(seed: bytes, label: str, n_bits: int) -> np.ndarray:
     return bits[:n_bits]
 
 
+def seed_bytes(run_seed: int) -> bytes:
+    """The expander seed of an integer run seed: its big-endian signed
+    64-bit encoding, left-padded with zeros to 32 bytes."""
+    if not -2 ** 63 <= run_seed < 2 ** 63:
+        raise ValidationError(f"run seed {run_seed} does not fit a signed 64-bit integer")
+    return run_seed.to_bytes(8, "big", signed=True).rjust(32, b"\x00")
+
+
 def derive_rng(seed: bytes, label: str) -> np.random.Generator:
     """A numpy Generator whose state is fully determined by (seed, label)."""
     material = expand(seed, label, 16)

@@ -183,4 +183,4 @@ def test_honest_elapsed_model():
     # 64-bit challenge at 5 bits/unit -> 13 units; plus 64 hash units/chunk
     assert honest_elapsed(1, 64) == 77
     assert honest_elapsed(4, 64) == 308
-    assert honest_elapsed(3, 32, hash_units=10) == 3 * (10 + 7)
+    assert honest_elapsed(3, 32) == 3 * (64 + 7)

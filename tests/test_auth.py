@@ -1,13 +1,15 @@
 import hashlib
 import itertools
+import struct
 
 import numpy as np
 import pytest
 
 from pufstack.errors import (AuthenticationError, FormatError,
                              ProtocolStateError, ReplayError)
-from pufstack.protocols.auth import (AuthMessage1, AuthMessage2, AuthRequest,
-                                     DeviceSession, VerifierSession,
+from pufstack.protocols.auth import (MSG_DEVICE_RESPONSE, AuthMessage1,
+                                     AuthMessage2, AuthRequest, DeviceSession,
+                                     VerifierSession, _frame_fields, _mac,
                                      derive_next_challenge, enroll_secret)
 from pufstack.puf import create_puf
 from pufstack.xof import derive_rng
@@ -53,10 +55,21 @@ class TestGoldenVectors:
         device, verifier = make_pair()
         msg1 = device.respond(verifier.request())
         wire = msg1.to_bytes()
-        assert len(wire) == 117
+        assert len(wire) == 107
         assert hashlib.sha256(wire).hexdigest() == (
-            "ee4c59c032b9cb73aa56a6d3b8f23275d915625acdf371add7a9e15cb3d802fc")
+            "1b757fea4dc4b0f86b3c5268db1d26e2ce9eb338a4b6e61d9dc4a3097d00387e")
         assert msg1.masked.hex() == "c83c0f8c413d7d78421f0a49f2957eb1"
+
+    def test_old_layout_with_clock_count_rejected(self):
+        # the four-field layout (masked, mem_hash, clock count, nonce) that
+        # earlier versions sent, correctly MAC'd, no longer parses
+        device, verifier = make_pair()
+        msg1 = device.respond(verifier.request())
+        payload = _frame_fields(MSG_DEVICE_RESPONSE, msg1.session,
+                                [msg1.masked, msg1.mem_hash,
+                                 struct.pack(">Q", 1000), msg1.nonce])
+        with pytest.raises(FormatError):
+            AuthMessage1.from_bytes(payload + _mac(verifier.secret, payload))
 
     def test_rollover_secret_frozen(self):
         device, verifier = make_pair()

@@ -116,6 +116,13 @@ class TestSweepFilter:
         assert run(["sweep-filter", *paths, "--out", tmp_path / "s",
                     "--grid", "0.5:0.1"]) == 2
 
+    @pytest.mark.parametrize("grid", ["0.1", "a:b", "0:inf,0:1:2"])
+    def test_malformed_grid_exits_2(self, tmp_path, capsys, grid):
+        paths = gen_devices(tmp_path, 2)
+        assert run(["sweep-filter", *paths, "--out", tmp_path / "s",
+                    "--grid", grid]) == 2
+        assert repr(grid.split(",")[-1]) in capsys.readouterr().err
+
 
 class TestDemos:
     def test_demo_auth_passive(self, tmp_path, capsys):
@@ -133,6 +140,17 @@ class TestDemos:
                     "--out", out]) == 0
         kv = read_kv(out / "scenario.kv")
         assert kv["adversary_successes"] == "0"
+
+    @pytest.mark.parametrize("with_config", [False, True])
+    def test_demo_attest_defaults_to_honest_device(self, tmp_path, with_config):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text("trials = 2\n")
+        out = tmp_path / "att"
+        argv = ["--config", cfg] if with_config else ["--trials", 2]
+        assert run(["demo-attest", *argv, "--out", out]) == 0
+        kv = read_kv(out / "scenario.kv")
+        assert kv["accepts"] == "2"
+        assert kv["adversary_attempts"] == "0"
 
     def test_demo_attest_tamper(self, tmp_path):
         out = tmp_path / "att"
@@ -182,6 +200,14 @@ class TestAttack:
         kv = read_kv(out / "attack_arbiter.kv")
         assert float(kv["test_accuracy"]) >= 0.8
         assert "arbiter: test accuracy" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("bit", [200, -1])
+    def test_bit_outside_response_exits_2(self, tmp_path, capsys, bit):
+        code = run(["attack", "--kinds", "arbiter", "--train", 50,
+                    "--test", 10, "--bits", 0, bit, "--out", tmp_path / "a"])
+        assert code == 2
+        assert f"target bit {bit} is outside" in capsys.readouterr().err
+        assert not (tmp_path / "a" / "attack_arbiter.kv").exists()
 
 
 class TestBench:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from pufstack.errors import ValidationError
 from pufstack.xof import (XofStream, bits_to_bytes, bytes_to_bits, derive_rng,
-                          expand, expand_bits, seeded_permutation)
+                          expand, expand_bits, seed_bytes, seeded_permutation)
 
 SEED = b"\x01" * 32
 
@@ -33,6 +33,20 @@ def test_expand_bits_roundtrip():
     assert bits.shape == (128,)
     assert set(np.unique(bits)) <= {0, 1}
     assert np.array_equal(bytes_to_bits(bits_to_bytes(bits), 128), bits)
+
+
+@pytest.mark.parametrize("run_seed, tail", [
+    (0, "0000000000000000"), (3, "0000000000000003"),
+    (-1, "ffffffffffffffff"), (-2 ** 63, "8000000000000000")])
+def test_seed_bytes_encoding(run_seed, tail):
+    # big-endian signed 64-bit, left-padded with zeros to 32 bytes
+    assert seed_bytes(run_seed).hex() == "00" * 24 + tail
+
+
+@pytest.mark.parametrize("run_seed", [2 ** 63, -2 ** 63 - 1])
+def test_seed_bytes_rejects_out_of_range(run_seed):
+    with pytest.raises(ValidationError):
+        seed_bytes(run_seed)
 
 
 def test_derive_rng_reproducible():
