@@ -28,9 +28,6 @@ class ScenarioConfig:
     adversary_p: float = 1.0
     trials: int = 100
     run_seed: int = 0
-    puf_kind: str = "photonic"
-    challenge_len: int = 64
-    response_len: int = 128
     noise_sigma: float = 0.02
     memory_bytes: int = 16384
     chunk_bytes: int = 1024
@@ -53,8 +50,8 @@ class ScenarioConfig:
     def to_kv(self) -> dict[str, str]:
         return {k: str(getattr(self, k)) for k in (
             "protocol", "adversary", "adversary_p", "trials", "run_seed",
-            "puf_kind", "challenge_len", "response_len", "noise_sigma",
-            "memory_bytes", "chunk_bytes", "budget_factor", "overhead_factor")}
+            "noise_sigma", "memory_bytes", "chunk_bytes", "budget_factor",
+            "overhead_factor")}
 
     @classmethod
     def from_kv(cls, kv: dict[str, str]) -> "ScenarioConfig":
@@ -121,17 +118,15 @@ def run_scenario(config: ScenarioConfig,
 
 def _run_auth(config: ScenarioConfig, modify_rule) -> ScenarioReport:
     seed = seed_bytes(config.run_seed)
-    puf = create_puf(config.puf_kind, expand(seed, "scenario-device-seed", 32), {
-        "L": config.challenge_len, "M": config.response_len,
-        "noise_sigma": config.noise_sigma,
-    })
+    puf = create_puf("photonic", expand(seed, "scenario-device-seed", 32),
+                     {"noise_sigma": config.noise_sigma})
     noise_rng = derive_rng(seed, "scenario-noise")
     secret = enroll_secret(puf, noise_rng=noise_rng)
     memory = expand(seed, "scenario-memory", 1024)
     device = DeviceSession(puf, secret, memory_image=memory,
                            nonce_rng=derive_rng(seed, "scenario-nonce"),
                            noise_rng=noise_rng)
-    verifier = VerifierSession(secret, config.challenge_len)
+    verifier = VerifierSession(secret, puf.challenge_len)
     policy = AdversaryPolicy(mode=config.adversary, p=config.adversary_p,
                              rule=modify_rule)
     channel = Channel(policy, rng=derive_rng(seed, "scenario-adversary"))
@@ -221,15 +216,14 @@ def _auth_trial(device: DeviceSession, verifier: VerifierSession,
 def _run_attest(config: ScenarioConfig) -> ScenarioReport:
     seed = seed_bytes(config.run_seed)
     # noiseless device: the verifier's model must agree bit-exactly
-    puf = create_puf(config.puf_kind, expand(seed, "scenario-device-seed", 32), {
-        "L": config.challenge_len, "M": config.response_len, "noise_sigma": 0.0,
-    })
+    puf = create_puf("photonic", expand(seed, "scenario-device-seed", 32),
+                     {"noise_sigma": 0.0})
     memory = expand(seed, "scenario-attest-memory", config.memory_bytes)
     chal_rng = derive_rng(seed, "scenario-attest-challenges")
     tamper_rng = derive_rng(seed, "scenario-attest-tamper")
     n_chunks = -(-config.memory_bytes // config.chunk_bytes)
     budget = int(config.budget_factor
-                 * honest_elapsed(n_chunks, config.challenge_len))
+                 * honest_elapsed(n_chunks, puf.challenge_len))
 
     accepts = 0
     rejects: dict[str, int] = {}
@@ -240,7 +234,7 @@ def _run_attest(config: ScenarioConfig) -> ScenarioReport:
     for trial in range(config.trials):
         request = AttestationRequest(
             timestamp=trial + 1,
-            challenge=Challenge.random(chal_rng, config.challenge_len))
+            challenge=Challenge.random(chal_rng, puf.challenge_len))
         device_memory = memory
         overhead = 1.0
         adversarial = config.adversary != "none"

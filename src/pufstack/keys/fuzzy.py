@@ -1,6 +1,6 @@
-"""Code-offset fuzzy extractor over a pluggable block code.
+"""Code-offset fuzzy extractor over a repetition code.
 
-Default code: repetition(5) concatenated over 128 message bits (n = 640),
+The code is repetition(5) concatenated over 128 message bits (n = 640),
 which corrects up to 2 flips per 5-bit block and is small enough to test
 exhaustively. Helper data is response XOR a random codeword; the key is a
 KDF of the decoded message and is checked against a short digest so a
@@ -20,6 +20,9 @@ from ..xof import expand_bits
 
 KEY_BYTES = 16
 CHECK_BYTES = 8
+REPEATS = 5                          # odd, so majority decoding corrects 2 flips
+MESSAGE_BITS = 128
+CODE_BITS = REPEATS * MESSAGE_BITS   # response bits per enrolled key
 
 
 class SecretKey:
@@ -56,28 +59,21 @@ class HelperData:
     key_check: bytes         # short digest binding the derived key
 
 
-class RepetitionCode:
-    """r-fold repetition over k message bits; majority decode, t = (r-1)//2."""
+def encode(message: np.ndarray) -> np.ndarray:
+    """Repeat each message bit REPEATS times."""
+    msg = np.asarray(message, dtype=np.uint8)
+    if msg.shape != (MESSAGE_BITS,):
+        raise ValidationError("message length mismatch")
+    return np.repeat(msg, REPEATS)
 
-    def __init__(self, repeats: int = 5, message_bits: int = 128):
-        if repeats < 1 or repeats % 2 == 0:
-            raise ValidationError("repetition factor must be odd and >= 1")
-        self.repeats = repeats
-        self.message_bits = message_bits
-        self.n = repeats * message_bits
 
-    def encode(self, message: np.ndarray) -> np.ndarray:
-        msg = np.asarray(message, dtype=np.uint8)
-        if msg.shape != (self.message_bits,):
-            raise ValidationError("message length mismatch")
-        return np.repeat(msg, self.repeats)
-
-    def decode(self, word: np.ndarray) -> np.ndarray:
-        w = np.asarray(word, dtype=np.uint8)
-        if w.shape != (self.n,):
-            raise ValidationError("codeword length mismatch")
-        blocks = w.reshape(self.message_bits, self.repeats)
-        return (blocks.sum(axis=1) * 2 > self.repeats).astype(np.uint8)
+def decode(word: np.ndarray) -> np.ndarray:
+    """Majority vote per REPEATS-bit block."""
+    w = np.asarray(word, dtype=np.uint8)
+    if w.shape != (CODE_BITS,):
+        raise ValidationError("codeword length mismatch")
+    blocks = w.reshape(MESSAGE_BITS, REPEATS)
+    return (blocks.sum(axis=1) * 2 > REPEATS).astype(np.uint8)
 
 
 def _kdf(message: np.ndarray) -> bytes:
@@ -89,33 +85,28 @@ def _key_check(key: bytes) -> bytes:
     return hashlib.sha256(b"fe-check\x00" + key).digest()[:CHECK_BYTES]
 
 
-def fe_generate(response_bits: np.ndarray, randomness: bytes,
-                code: Optional[RepetitionCode] = None) -> tuple[SecretKey, HelperData]:
+def fe_generate(response_bits: np.ndarray, randomness: bytes) -> tuple[SecretKey, HelperData]:
     """Enroll a response: helper = response XOR codeword(random message)."""
-    code = code if code is not None else RepetitionCode()
     resp = np.asarray(response_bits, dtype=np.uint8)
-    if resp.shape != (code.n,):
-        raise ValidationError(f"response length {resp.shape} != code length {code.n}")
-    message = expand_bits(randomness, "fe-message", code.message_bits)
-    codeword = code.encode(message)
-    offset = np.bitwise_xor(resp, codeword)
+    if resp.shape != (CODE_BITS,):
+        raise ValidationError(f"response length {resp.shape} != code length {CODE_BITS}")
+    message = expand_bits(randomness, "fe-message", MESSAGE_BITS)
+    offset = np.bitwise_xor(resp, encode(message))
     key = _kdf(message)
     return SecretKey(key), HelperData(offset, _key_check(key))
 
 
-def fe_reproduce(noisy_bits: np.ndarray, helper: HelperData,
-                 code: Optional[RepetitionCode] = None) -> Optional[SecretKey]:
+def fe_reproduce(noisy_bits: np.ndarray, helper: HelperData) -> Optional[SecretKey]:
     """Recover the enrolled key from a noisy re-read, or None on failure.
 
     Succeeds iff every block carries at most t errors; a miscorrected block
     yields a key that fails the helper's check digest.
     """
-    code = code if code is not None else RepetitionCode()
     noisy = np.asarray(noisy_bits, dtype=np.uint8)
-    if noisy.shape != (code.n,):
-        raise ValidationError(f"response length {noisy.shape} != code length {code.n}")
+    if noisy.shape != (CODE_BITS,):
+        raise ValidationError(f"response length {noisy.shape} != code length {CODE_BITS}")
     word = np.bitwise_xor(noisy, np.asarray(helper.code_offset, dtype=np.uint8))
-    message = code.decode(word)
+    message = decode(word)
     key = _kdf(message)
     if _key_check(key) != helper.key_check:
         return None

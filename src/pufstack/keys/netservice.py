@@ -50,9 +50,9 @@ def decode_network(raw: bytes) -> list[np.ndarray]:
             rows, cols = struct.unpack_from(">II", raw, offset)
             offset += 8
             n = rows * cols * 8
-            w = np.frombuffer(raw[offset:offset + n], dtype=">f8")
-            if w.size != rows * cols:
+            if len(raw) - offset < n:
                 raise FormatError("truncated weight block")
+            w = np.frombuffer(raw, dtype=">f8", count=rows * cols, offset=offset)
             layers.append(w.reshape(rows, cols).astype(np.float64))
             offset += n
         if offset != len(raw):
@@ -75,10 +75,9 @@ def decode_vector(raw: bytes) -> np.ndarray:
         (n,) = struct.unpack_from(">I", raw, 0)
     except struct.error as exc:
         raise FormatError("malformed vector") from exc
-    v = np.frombuffer(raw[4:], dtype=">f8")
-    if v.size != n:
+    if len(raw) - 4 != 8 * n:
         raise FormatError("vector length field inconsistent")
-    return v.astype(np.float64)
+    return np.frombuffer(raw, dtype=">f8", offset=4).astype(np.float64)
 
 
 def reference_forward(layers: list[np.ndarray], v: np.ndarray) -> np.ndarray:

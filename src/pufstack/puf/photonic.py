@@ -13,20 +13,23 @@ Fixed-point definition
 The model is chaotic, so it is defined in exact integer arithmetic: a device
 gives the same bits on every machine, BLAS build and memory layout.
 
-* Grid. Every fabricated entry is a multiple of q = 2^-20 with magnitude
-  <= 1. The stored arrays keep real and imaginary parts interleaved in
-  float64; the cascade reads them through complex128 views and carries a
-  field over P paths as a complex128 array whose parts are integers (counts
-  of q). ``floor`` acts on the real and on the imaginary part.
+* Grid. Every fabricated entry is a complex128 value whose real and
+  imaginary parts are multiples of q = 2^-20 with magnitude <= 1. A field
+  over P paths is a complex128 array whose parts are integers (counts of
+  q). ``floor`` acts on the real and on the imaginary part.
 * Phase table. C[k] + i*S[k] = round(2^20 * exp(2*pi*i*k/N)) for N = 4096,
   computed once from Machin's formula for pi and Taylor series in Python
   integers (no libm).
 * Fabrication. Integer draws from ``derive_rng(seed, "photonic-fabrication")``
-  (each a sum of four uniforms, a Gaussian stand-in) are orthonormalized by
-  two-pass Gram-Schmidt in integers: one unitary S_t per stage, column norms
-  <= 1 by truncation, and every stage operator norm is checked against
-  1 + 2^-8. Then two unit injection vectors u_0, u_1, and a detection
-  matrix D (M x P) normalized to Frobenius norm <= 1, so it is passive.
+  (each a sum of four uniforms, a Gaussian stand-in, drawn for the real and
+  then the imaginary part of an entry) are orthonormalized by complex
+  two-pass Gram-Schmidt in integers: one unitary S_t per stage, column
+  norms <= 1 by truncation, and every stage operator norm is checked
+  against 1 + 2^-8. Then two unit injection vectors u_0, u_1, and a
+  detection matrix D (M x P) normalized to Frobenius norm <= 1, so it is
+  passive. The device stores them as ``scatter`` (L, P, P), where row k of
+  ``scatter[t]`` is column k of S_t (so f @ scatter[t] = S_t f),
+  ``inject`` (2, P) with rows u_0 and u_1, and ``detect`` (M, P) = D.
 * Device integers. A = round(mem_decay / q) and
   X = round(kerr_coeff * N / (2*pi) * 2^8).
   The memory table is (Ca[k], Sa[k]) = floor(A * (C[k], S[k]) * q).
@@ -224,38 +227,6 @@ def _truncated_unit(v: np.ndarray, sumsq: np.ndarray) -> np.ndarray:
     return np.trunc(v * _Q / root[..., None])
 
 
-def _stage_blocks(rng: np.random.Generator, stages: int, p: int) -> np.ndarray:
-    """(stages, 2P, 2P) grid values: real blocks of random unitaries.
-
-    Row 2k is column k of the unitary (interleaved re/im), row 2k+1 is i
-    times it, so emb(f) @ block = emb(S f). Classical Gram-Schmidt, run
-    twice per column with a renormalization after each pass, so a small
-    residual still keeps full grid precision.
-    """
-    draws = _gaussian_counts(rng, (stages, p, 2 * p))
-    rows = np.zeros((stages, 2 * p, 2 * p))
-    for j in range(p):
-        v = draws[:, j]
-        basis = rows[:, :2 * j]
-        for _ in range(2):
-            coef = np.floor((basis @ v[..., None]) * _GRID)
-            v = v - np.floor((coef.transpose(0, 2, 1) @ basis)[:, 0] * _GRID)
-            v = _truncated_unit(v, np.sum(v * v, axis=1))
-        rows[:, 2 * j] = v
-        turned = v.reshape(stages, p, 2)[..., ::-1] * (-1.0, 1.0)
-        rows[:, 2 * j + 1] = turned.reshape(stages, 2 * p)
-    gram = np.abs(rows @ rows.transpose(0, 2, 1)).sum(axis=2)
-    if gram.max() > NORM_BOUND * NORM_BOUND * _Q * _Q:
-        raise ValidationError("fabricated stage matrix exceeds the passivity bound")
-    return rows * _GRID
-
-
-def _complex(interleaved: np.ndarray) -> np.ndarray:
-    """Interleaved re/im float64 values as complex128, zero-copy when the
-    array is C-contiguous."""
-    return np.ascontiguousarray(interleaved).view(np.complex128)
-
-
 def _floor(z: np.ndarray) -> np.ndarray:
     """floor of the real and the imaginary part of z, in place."""
     parts = z.view(np.float64)
@@ -263,12 +234,33 @@ def _floor(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _intensities(state: np.ndarray, detect_t: np.ndarray) -> np.ndarray:
-    """|floor(D s)|^2 per tap in counts of q^2; ``state`` is (B, P) s and
-    ``detect_t`` is D^T (P, M)."""
-    amp = _floor(state @ detect_t).view(np.float64)
-    amp *= amp
-    return amp[:, 0::2] + amp[:, 1::2]
+def _power(z: np.ndarray) -> np.ndarray:
+    """|z|^2 per entry."""
+    return (z * z.conj()).real
+
+
+def _stage_matrices(rng: np.random.Generator, stages: int, p: int) -> np.ndarray:
+    """(stages, P, P) grid values of random unitaries; row k of a stage is
+    column k of S_t.
+
+    Classical Gram-Schmidt, run twice per column with a renormalization
+    after each pass, so a small residual still keeps full grid precision.
+    """
+    draws = _gaussian_counts(rng, (stages, p, 2 * p)).view(np.complex128)
+    rows = np.zeros((stages, p, p), dtype=np.complex128)
+    for j in range(p):
+        v = draws[:, j]
+        basis = rows[:, :j]
+        for _ in range(2):
+            coef = _floor((basis.conj() @ v[..., None]) * _GRID)
+            v = v - _floor((coef.transpose(0, 2, 1) @ basis)[:, 0] * _GRID)
+            parts = v.view(np.float64)
+            v = _truncated_unit(parts, np.sum(parts * parts, axis=1)).view(np.complex128)
+        rows[:, j] = v
+    gram = (rows @ rows.conj().transpose(0, 2, 1)).view(np.float64)
+    if np.abs(gram).sum(axis=2).max() > NORM_BOUND * NORM_BOUND * _Q * _Q:
+        raise ValidationError("fabricated stage matrix exceeds the passivity bound")
+    return rows * _GRID
 
 
 class PhotonicPuf(PufInstance):
@@ -286,14 +278,13 @@ class PhotonicPuf(PufInstance):
         rng = derive_rng(device_seed, "photonic-fabrication")
         # One unitary per challenge-bit stage, so the cascade is passive
         # without per-stage power loss; all arrays lie on the 2^-20 grid.
-        # scatter is (L, 2P, 2P) real blocks, inject0/1 are (2P,) and detect
-        # is (M, 2P): complex values with re/im interleaved.
-        self.scatter = _stage_blocks(rng, challenge_len, p)
+        self.scatter = _stage_matrices(rng, challenge_len, p)
         inj = _gaussian_counts(rng, (2, 2 * p))
-        inj = _truncated_unit(inj, np.sum(inj * inj, axis=1)) * _GRID
-        self.inject0, self.inject1 = inj[0], inj[1]
+        self.inject = (_truncated_unit(inj, np.sum(inj * inj, axis=1))
+                       * _GRID).view(np.complex128)
         det = _gaussian_counts(rng, (params.detect_count, 2 * p))
-        self.detect = _truncated_unit(det.ravel(), np.sum(det * det)).reshape(det.shape) * _GRID
+        self.detect = (_truncated_unit(det.ravel(), np.sum(det * det)).reshape(det.shape)
+                       * _GRID).view(np.complex128)
 
         self.gain = 1.0
         self._thresholds = np.zeros(params.detect_count)
@@ -310,20 +301,17 @@ class PhotonicPuf(PufInstance):
         memory = _rotations(self.params.memory_steps())
         kerr = self.params.kerr_steps() * 2.0 ** -(POWER_BITS + KERR_BITS)
         level = 2.0 ** (POWER_BITS - 2 * GRID_BITS)
-        # row 2k of an interleaved stage block is column k of S_t
-        scatter = _complex(self.scatter)[:, 0::2]
-        inject = _complex(np.stack([self.inject0, self.inject1])) * _Q
-        detect_t = _complex(self.detect).T
+        inject = self.inject * _Q
         order = np.ascontiguousarray(bits_matrix.T, dtype=np.intp)
         mem = 0.0
         stages = []
         for t in range(self.challenge_len):
-            y = _floor((inject.take(order[t], axis=0) + mem) @ scatter[t])
-            power = np.floor((y * y.conj()).real * level)
+            y = _floor((inject.take(order[t], axis=0) + mem) @ self.scatter[t])
+            power = np.floor(_power(y) * level)
             steps = np.floor(power * kerr).astype(np.intp)
             if trace or t == self.challenge_len - 1:
-                stages.append(_intensities(
-                    _floor(y * unit.take(steps, mode="wrap")), detect_t))
+                s = _floor(y * unit.take(steps, mode="wrap"))
+                stages.append(_power(_floor(s @ self.detect.T)))
             mem = _floor(y * memory.take(steps, mode="wrap"))
         return np.stack(stages, axis=1) if trace else stages[0]
 

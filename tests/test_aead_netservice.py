@@ -109,6 +109,14 @@ class TestNetworkCodec:
             # layer shapes that cannot chain: (2,3) then (2,4)
             decode_network(encode_network([np.zeros((2, 3)), np.zeros((2, 4))]))
 
+    def test_partial_float_rejected(self):
+        # a float64 block cut to a length that is not a multiple of 8 bytes
+        with pytest.raises(FormatError):
+            decode_vector((1).to_bytes(4, "big") + b"\x00" * 5)
+        with pytest.raises(FormatError):
+            decode_network((1).to_bytes(4, "big") + (1).to_bytes(4, "big")
+                           + (2).to_bytes(4, "big") + b"\x00" * 12)
+
 
 class TestSecureAccelerator:
     def _accel(self):

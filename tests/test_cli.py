@@ -183,6 +183,15 @@ class TestDemos:
         assert run(["demo-auth", "--config", cfg, "--out", tmp_path / "o"]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["puf_kind = arbiter", "challenge_len = 64",
+                                      "response_len = 128"])
+    def test_device_shape_scenario_key_exits_2(self, tmp_path, capsys, line):
+        # scenarios always run the default photonic device
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(line + "\n")
+        assert run(["demo-auth", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        assert line.split()[0] in capsys.readouterr().err
+
     @pytest.mark.parametrize("key", ["chunk_bytes", "memory_bytes"])
     def test_empty_attest_size_exits_2(self, tmp_path, capsys, key):
         cfg = tmp_path / "scenario.cfg"

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from pufstack.errors import ValidationError
-from pufstack.keys.fuzzy import (RepetitionCode, SecretKey, fe_generate,
-                                 fe_reproduce)
+from pufstack.keys.fuzzy import (CODE_BITS, MESSAGE_BITS, SecretKey, decode,
+                                 encode, fe_generate, fe_reproduce)
 from pufstack.xof import expand_bits
 
 RESPONSE = expand_bits(b"\x07" * 32, "fe-test-response", 640)
@@ -35,17 +35,14 @@ def test_helper_offset_is_codeword_of_message():
 
 
 def test_code_dimensions():
-    code = RepetitionCode()
-    assert code.n == 640
-    assert code.message_bits == 128
+    assert CODE_BITS == 640
+    assert MESSAGE_BITS == 128
     msg = expand_bits(b"\x08" * 32, "msg", 128)
-    assert code.decode(code.encode(msg)).tolist() == msg.tolist()
+    assert decode(encode(msg)).tolist() == msg.tolist()
     with pytest.raises(ValidationError):
-        RepetitionCode(repeats=4)
+        encode(np.zeros(127, dtype=np.uint8))
     with pytest.raises(ValidationError):
-        code.encode(np.zeros(127, dtype=np.uint8))
-    with pytest.raises(ValidationError):
-        code.decode(np.zeros(639, dtype=np.uint8))
+        decode(np.zeros(639, dtype=np.uint8))
 
 
 def test_exhaustive_correction_within_radius():

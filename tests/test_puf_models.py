@@ -452,12 +452,12 @@ def _oracle_intensities(puf, challenge_bits, table):
     a = round(puf.params.mem_decay * 2 ** 20)
     x = round(puf.params.kerr_coeff * n * 2 ** 8 / (2 * math.pi))
     memory = [((a * c) >> 20, (a * s) >> 20) for c, s in table]
-    inject = [_pairs(_counts(puf.inject0)), _pairs(_counts(puf.inject1))]
-    detect = [_pairs(_counts(row)) for row in puf.detect]
+    inject = [_pairs(_counts(u.view(np.float64))) for u in puf.inject]
+    detect = [_pairs(_counts(row.view(np.float64))) for row in puf.detect]
     m = [(0, 0)] * p
     for t, bit in enumerate(challenge_bits):
-        # rows 2k of the stage block hold column k of S_t
-        block = [_counts(row) for row in puf.scatter[t][0::2]]
+        # row k of a stage holds column k of S_t
+        block = [_counts(row.view(np.float64)) for row in puf.scatter[t]]
         f = [(u[0] + v[0], u[1] + v[1]) for u, v in zip(inject[bit], m)]
         y = []
         for j in range(p):
@@ -519,6 +519,18 @@ class TestIntegerOracle:
         assert oracle_bytes[1].hex() == "a342d412379cc233cde9209c8d6d530e"
 
 
+def test_fabrication_pinned():
+    # the seed-1 device's grid values, parts interleaved, in counts of 2^-20
+    puf = create_puf("photonic", 1, {"noise_sigma": 0.0})
+    assert puf.scatter.shape == (64, 32, 32) and puf.inject.shape == (2, 32)
+    assert puf.detect.shape == (128, 32)
+    digest = hashlib.sha256()
+    for arr in (puf.scatter, puf.inject, puf.detect):
+        digest.update(np.rint(arr.view(np.float64) * 2.0 ** 20).astype("<i8").tobytes())
+    assert digest.hexdigest() == \
+        "0701b9e5ed17715b3d4860fd8da7b90ceb50d94044ca26bba3ed031ce3073541"
+
+
 # -- platform independence -------------------------------------------------
 
 _PROBE = """
@@ -528,8 +540,8 @@ from pufstack.protocols.auth import enroll_secret
 from pufstack.puf import create_puf
 puf = create_puf("photonic", 1, {"noise_sigma": 0.0})
 digest = hashlib.sha256()
-for arr in (puf.scatter, puf.inject0, puf.inject1, puf.detect):
-    digest.update(np.rint(arr * 2.0 ** 20).astype("<i8").tobytes())
+for arr in (puf.scatter, puf.inject, puf.detect):
+    digest.update(np.rint(arr.view(np.float64) * 2.0 ** 20).astype("<i8").tobytes())
 print(enroll_secret(puf).hex(), digest.hexdigest())
 """
 
@@ -542,7 +554,7 @@ _ENVIRONMENTS = [{"OPENBLAS_CORETYPE": core}
 
 def _strided(a):
     """Same values, non-unit strides."""
-    wide = np.zeros(a.shape + (2,))
+    wide = np.zeros(a.shape + (2,), dtype=a.dtype)
     wide[..., 0] = a
     return wide[..., 0]
 
@@ -565,9 +577,10 @@ def test_device_identity_is_platform_and_layout_independent():
     copy = create_puf("photonic", 1, {"noise_sigma": 0.0})
     # a contiguous transposed copy of every stage, and strided views
     copy.scatter = np.swapaxes(np.ascontiguousarray(np.swapaxes(puf.scatter, 1, 2)), 1, 2)
-    copy.inject0, copy.inject1 = _strided(puf.inject0), _strided(puf.inject1)
+    copy.inject = _strided(puf.inject)
     copy.detect = _strided(puf.detect)
     assert not copy.scatter.flags.c_contiguous
+    assert not (copy.inject.flags.c_contiguous or copy.detect.flags.c_contiguous)
     assert np.array_equal(copy.raw_intensities(bits), ref)
 
     # a relative 1e-12 change of a and kerr flips < 0.1% of the bits
