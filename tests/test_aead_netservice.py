@@ -1,10 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pufstack.errors import FormatError, ProtocolStateError, TamperError
-from pufstack.keys.aead import AeadBox, CipheredBlob
+from pufstack.keys.aead import TAG_BYTES, AeadBox, CipheredBlob
 from pufstack.keys.fuzzy import SecretKey
 from pufstack.keys.netservice import (SecureAccelerator, decode_network,
                                       decode_vector, encode_network,
@@ -174,3 +176,55 @@ class TestSecureAccelerator:
         assert np.all(held == 0.0)
         with pytest.raises(ProtocolStateError):
             accel.execute_network(CipheredBlob(b"\x00" * 12, b"", b"\x00" * 16))
+
+
+def _pinned_layers():
+    a = np.arange(24, dtype=np.float64).reshape(4, 6) / 7.0 - 1.5
+    a[0, 0] = -0.0
+    b = (np.arange(12).reshape(4, 3) - 5).T       # integer, transposed view
+    return [a, b]
+
+
+_PINNED_VECTOR = np.linspace(-2.0, 3.0, 9)
+
+
+def _sha(raw) -> str:
+    return hashlib.sha256(raw).hexdigest()
+
+
+class TestWireFormatPinned:
+    """Digests computed before the codec and the blob learned to avoid
+    copies; the plaintext schemas and the blob wire layout must not move."""
+
+    def test_encode_network_frozen(self):
+        assert _sha(encode_network(_pinned_layers())) == (
+            "6aca3a9a5b628e2fd067421059fbcf3a2fcb10d02c4089be99cf4fa44b2aa890")
+
+    def test_encode_vector_frozen(self):
+        assert _sha(encode_vector(_PINNED_VECTOR)) == (
+            "7699e640b34d6843bd85fd55d794f290e9bdeac7af624ef932955275003b0623")
+
+    def test_sealed_blobs_frozen(self):
+        accel = SecureAccelerator(SecretKey(bytes(range(16))))
+        assert _sha(accel.seal_network(_pinned_layers()).to_bytes()) == (
+            "11461319c77f0ef6c75c72d8479eaa8723f66f39afd042648a23cb839fa8338c")
+        assert _sha(accel.seal_input(_PINNED_VECTOR).to_bytes()) == (
+            "2a3e13d5a7acfb681440c9879fd748e841f4818aeec6554c266b5dcf292badb4")
+
+    def test_large_network_wire_roundtrip(self):
+        # three 256 x 256 layers: about 1.5 MB sealed
+        rng = np.random.default_rng(5)
+        layers = [rng.integers(-8, 9, size=(256, 256)) / 16.0 for _ in range(3)]
+        sealer = SecureAccelerator(SecretKey(bytes(range(16))))
+        raw = sealer.seal_network(layers).to_bytes()
+        assert len(raw) == 12 + 4 + 4 + 3 * (8 + 8 * 256 * 256) + 16
+        blob = CipheredBlob.from_bytes(raw)
+        assert blob.to_bytes() == raw
+        device = SecureAccelerator(SecretKey(bytes(range(16))))
+        device.load_network(blob)
+        for a, b in zip(layers, device._layers):
+            assert np.array_equal(a, b)
+        flipped = bytearray(raw)
+        flipped[-TAG_BYTES - 1] ^= 0x01           # last ciphertext byte
+        with pytest.raises(TamperError):
+            device.load_network(CipheredBlob.from_bytes(bytes(flipped)))
