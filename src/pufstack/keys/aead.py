@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
-from ..errors import FormatError, TamperError
-from .fuzzy import SecretKey
+from ..errors import FormatError, ProtocolStateError, TamperError
+from .fuzzy import KEY_BYTES, SecretKey
 
 NONCE_BYTES = 12
 TAG_BYTES = 16
@@ -22,37 +22,57 @@ TAG_BYTES = 16
 
 @dataclass(frozen=True)
 class CipheredBlob:
+    """A nonce and the AEAD output under it, ciphertext || tag, held as the
+    one buffer the cipher wrote so that opening it copies nothing."""
+
     nonce: bytes
-    ciphertext: bytes
-    tag: bytes
+    sealed: bytes
+
+    def __post_init__(self):
+        if len(self.sealed) < TAG_BYTES:
+            raise FormatError("sealed payload shorter than its tag")
 
     def to_bytes(self) -> bytes:
-        return (self.nonce + struct.pack(">I", len(self.ciphertext))
-                + self.ciphertext + self.tag)
+        return b"".join((self.nonce, struct.pack(">I", len(self.sealed) - TAG_BYTES),
+                         self.sealed))
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "CipheredBlob":
         if len(raw) < NONCE_BYTES + 4 + TAG_BYTES:
             raise FormatError("blob too short")
-        nonce = raw[:NONCE_BYTES]
-        (ct_len,) = struct.unpack(">I", raw[NONCE_BYTES:NONCE_BYTES + 4])
-        body = raw[NONCE_BYTES + 4:]
-        if len(body) != ct_len + TAG_BYTES:
+        (ct_len,) = struct.unpack_from(">I", raw, NONCE_BYTES)
+        if len(raw) - NONCE_BYTES - 4 != ct_len + TAG_BYTES:
             raise FormatError("blob length field inconsistent")
-        return cls(nonce, body[:ct_len], body[ct_len:])
+        return cls(raw[:NONCE_BYTES], raw[NONCE_BYTES + 4:])
 
 
 class AeadBox:
-    """Sealing/opening under one SecretKey with counter nonces."""
+    """Sealing/opening under one SecretKey with counter nonces.
+
+    The cipher is set up once, here; ``close()`` drops it and zeroizes the
+    key. Once the key is zeroized, by this box or by another on the same
+    key, ``seal`` and ``open`` raise ``ProtocolStateError``.
+    """
 
     def __init__(self, key: SecretKey):
-        # ChaCha20-Poly1305 wants 32 key bytes; stretch the 128-bit key.
         self._key = key
+        if self._key_zeroized():
+            raise ProtocolStateError("secret key is zeroized")
+        material = key._reveal()
+        # ChaCha20-Poly1305 wants 32 key bytes; stretch the 128-bit key.
+        self._cipher: ChaCha20Poly1305 | None = ChaCha20Poly1305(material + material)
         self._nonce_counter = 0
 
-    def _cipher(self) -> ChaCha20Poly1305:
-        material = self._key._reveal()
-        return ChaCha20Poly1305(material + material)
+    def _key_zeroized(self) -> bool:
+        return self._key._reveal() == bytes(KEY_BYTES)
+
+    def _live_cipher(self) -> ChaCha20Poly1305:
+        # The cipher must not outlive its key, which another handle on the
+        # same key may have zeroized.
+        if self._cipher is None or self._key_zeroized():
+            self._cipher = None
+            raise ProtocolStateError("AEAD box is closed or its key is zeroized")
+        return self._cipher
 
     def _next_nonce(self) -> bytes:
         n = self._nonce_counter.to_bytes(NONCE_BYTES, "big")
@@ -60,15 +80,17 @@ class AeadBox:
         return n
 
     def seal(self, plaintext: bytes, aad: bytes = b"") -> CipheredBlob:
+        cipher = self._live_cipher()
         nonce = self._next_nonce()
-        out = self._cipher().encrypt(nonce, plaintext, aad)
-        return CipheredBlob(nonce, out[:-TAG_BYTES], out[-TAG_BYTES:])
+        return CipheredBlob(nonce, cipher.encrypt(nonce, plaintext, aad))
 
     def open(self, blob: CipheredBlob, aad: bytes = b"") -> bytes:
+        cipher = self._live_cipher()
         try:
-            return self._cipher().decrypt(blob.nonce, blob.ciphertext + blob.tag, aad)
+            return cipher.decrypt(blob.nonce, blob.sealed, aad)
         except InvalidTag as exc:
             raise TamperError("AEAD authentication failed") from exc
 
     def close(self):
+        self._cipher = None
         self._key.zeroize()

@@ -3,7 +3,7 @@
 The accelerator stand-in is a stack of matrix-vector layers with an
 elementwise ReLU. Network configs, inputs, and outputs cross the service
 boundary only as AEAD blobs; plaintext weights live inside this module and
-are zeroized when the handle is dropped.
+are zeroized on ``close()`` and when a reload replaces them.
 
 Plaintext schemas (all big-endian):
   network: u32 layer_count, then per layer u32 rows, u32 cols,
@@ -26,17 +26,26 @@ _IN_AAD = b"toy-network-input"
 _OUT_AAD = b"toy-network-output"
 
 
-def encode_network(layers: list[np.ndarray]) -> bytes:
+def _put_f8(buf: bytearray, offset: int, values: np.ndarray) -> int:
+    """Write ``values`` into ``buf`` at ``offset`` as big-endian float64, in
+    one pass; return the offset just past them."""
+    np.frombuffer(buf, ">f8", values.size, offset).reshape(values.shape)[...] = values
+    return offset + 8 * values.size
+
+
+def encode_network(layers: list[np.ndarray]) -> bytearray:
     if not layers:
         raise FormatError("network needs at least one layer")
-    out = [struct.pack(">I", len(layers))]
+    layers = [np.asarray(w, dtype=np.float64) for w in layers]
+    if any(w.ndim != 2 for w in layers):
+        raise FormatError("layer weights must be 2-D")
+    buf = bytearray(4 + sum(8 + 8 * w.size for w in layers))
+    struct.pack_into(">I", buf, 0, len(layers))
+    offset = 4
     for w in layers:
-        w = np.asarray(w, dtype=np.float64)
-        if w.ndim != 2:
-            raise FormatError("layer weights must be 2-D")
-        out.append(struct.pack(">II", w.shape[0], w.shape[1]))
-        out.append(w.astype(">f8").tobytes())
-    return b"".join(out)
+        struct.pack_into(">II", buf, offset, *w.shape)
+        offset = _put_f8(buf, offset + 8, w)
+    return buf
 
 
 def decode_network(raw: bytes) -> list[np.ndarray]:
@@ -65,9 +74,12 @@ def decode_network(raw: bytes) -> list[np.ndarray]:
     return layers
 
 
-def encode_vector(values: np.ndarray) -> bytes:
+def encode_vector(values: np.ndarray) -> bytearray:
     v = np.asarray(values, dtype=np.float64).ravel()
-    return struct.pack(">I", v.size) + v.astype(">f8").tobytes()
+    buf = bytearray(4 + 8 * v.size)
+    struct.pack_into(">I", buf, 0, v.size)
+    _put_f8(buf, 4, v)
+    return buf
 
 
 def decode_vector(raw: bytes) -> np.ndarray:
@@ -96,8 +108,12 @@ class SecureAccelerator:
         self._layers: list[np.ndarray] | None = None
 
     def load_network(self, ciphered_network: CipheredBlob) -> None:
-        plaintext = self._box.open(ciphered_network, aad=_NET_AAD)
-        self._layers = decode_network(plaintext)
+        """Replace the loaded network. The old weights are wiped only once
+        the new config has authenticated and decoded; a rejected load
+        leaves the current network in place."""
+        layers = decode_network(self._box.open(ciphered_network, aad=_NET_AAD))
+        self._wipe_layers()
+        self._layers = layers
 
     def execute_network(self, ciphered_input: CipheredBlob) -> CipheredBlob:
         if self._layers is None:
@@ -118,9 +134,12 @@ class SecureAccelerator:
     def open_output(self, blob: CipheredBlob) -> np.ndarray:
         return decode_vector(self._box.open(blob, aad=_OUT_AAD))
 
-    def close(self):
+    def _wipe_layers(self) -> None:
         if self._layers is not None:
             for w in self._layers:
                 w.fill(0.0)
             self._layers = None
+
+    def close(self):
+        self._wipe_layers()
         self._box.close()

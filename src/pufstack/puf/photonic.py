@@ -235,8 +235,10 @@ def _floor(z: np.ndarray) -> np.ndarray:
 
 
 def _power(z: np.ndarray) -> np.ndarray:
-    """|z|^2 per entry."""
-    return (z * z.conj()).real
+    """|z|^2 per entry, as a contiguous float64 array: arithmetic on the
+    strided ``.real`` view of the complex product is slower than copying it
+    out once."""
+    return (z * z.conj()).real.copy()
 
 
 def _stage_matrices(rng: np.random.Generator, stages: int, p: int) -> np.ndarray:

@@ -79,6 +79,35 @@ class TestAeadBox:
         box.close()
         assert key._reveal() == b"\x00" * 16
 
+    def test_blob_shorter_than_tag_rejected(self):
+        with pytest.raises(FormatError):
+            CipheredBlob(b"\x00" * 12, b"\x00" * 15)
+
+    def test_zeroized_key_rejected(self):
+        key = SecretKey(bytes(range(16)))
+        key.zeroize()
+        with pytest.raises(ProtocolStateError):
+            AeadBox(key)
+
+    def test_closed_box_refuses_work(self):
+        box = fresh_box()
+        blob = box.seal(b"payload")
+        box.close()
+        with pytest.raises(ProtocolStateError):
+            box.seal(b"payload")
+        with pytest.raises(ProtocolStateError):
+            box.open(blob)
+
+    def test_sibling_box_refuses_work_after_key_zeroized(self):
+        key = SecretKey(bytes(range(16)))
+        box, sibling = AeadBox(key), AeadBox(key)
+        blob = sibling.seal(b"payload")
+        box.close()
+        with pytest.raises(ProtocolStateError):
+            sibling.seal(b"payload")
+        with pytest.raises(ProtocolStateError):
+            sibling.open(blob)
+
 
 class TestNetworkCodec:
     def test_roundtrip(self):
@@ -175,7 +204,29 @@ class TestSecureAccelerator:
         accel.close()
         assert np.all(held == 0.0)
         with pytest.raises(ProtocolStateError):
-            accel.execute_network(CipheredBlob(b"\x00" * 12, b"", b"\x00" * 16))
+            accel.execute_network(CipheredBlob(b"\x00" * 12, b"\x00" * 16))
+
+    def test_reload_wipes_previous_weights(self):
+        accel = self._accel()
+        accel.load_network(accel.seal_network([np.full((2, 2), 3.0)]))
+        held = accel._layers[0]
+        accel.load_network(accel.seal_network([np.eye(2)]))
+        assert np.all(held == 0.0)
+        x = np.array([1.0, 2.0])
+        out = accel.open_output(accel.execute_network(accel.seal_input(x)))
+        assert np.array_equal(out, x)
+
+    def test_rejected_reload_keeps_network(self):
+        accel = self._accel()
+        layers = [np.full((2, 2), 3.0)]
+        accel.load_network(accel.seal_network(layers))
+        raw = bytearray(accel.seal_network([np.eye(2)]).to_bytes())
+        raw[-1] ^= 0x01
+        with pytest.raises(TamperError):
+            accel.load_network(CipheredBlob.from_bytes(bytes(raw)))
+        x = np.array([1.0, 2.0])
+        out = accel.open_output(accel.execute_network(accel.seal_input(x)))
+        assert np.array_equal(out, reference_forward(layers, x))
 
 
 def _pinned_layers():
@@ -193,8 +244,8 @@ def _sha(raw) -> str:
 
 
 class TestWireFormatPinned:
-    """Digests computed before the codec and the blob learned to avoid
-    copies; the plaintext schemas and the blob wire layout must not move."""
+    """SHA-256 pins of the plaintext schemas and of the sealed-blob wire
+    layout under a fixed key and nonce order."""
 
     def test_encode_network_frozen(self):
         assert _sha(encode_network(_pinned_layers())) == (
