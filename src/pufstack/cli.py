@@ -23,6 +23,8 @@ from .errors import (AuthenticationError, FormatError, ProtocolStateError,
                      PufStackError, ValidationError)
 from .harness import (AttackConfig, ScenarioConfig, harvest_crps,
                       modeling_attack, run_scenario)
+from .harness.channel import MODES
+from .harness.scenarios import ATTEST_ADVERSARIES
 from .metrics import (FilterBand, MetricsReport, band_sweep, compute_metrics,
                       decision_rates, pairwise_hd, population_responses)
 from .puf import challenge_matrix, create_puf
@@ -270,15 +272,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("demo-auth", help="mutual-authentication scenario")
     common(p)
     p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--adversary", default=None,
-                   choices=["passive", "replay", "bitflip", "drop"])
+    p.add_argument("--adversary", default=None, choices=MODES)
     p.set_defaults(func=cmd_demo_auth)
 
     p = sub.add_parser("demo-attest", help="software-attestation scenario")
     common(p)
     p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--adversary", default=None,
-                   choices=["none", "tamper", "relocate"])
+    p.add_argument("--adversary", default=None, choices=ATTEST_ADVERSARIES)
     p.set_defaults(func=cmd_demo_attest)
 
     p = sub.add_parser("attack", help="machine-learning modeling attack")

@@ -9,28 +9,25 @@ success to a concrete action.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from ..errors import ValidationError
 
-MODES = ("passive", "replay", "bitflip", "drop", "modify")
+MODES = ("passive", "replay", "bitflip", "drop")
 
 
 @dataclass
 class AdversaryPolicy:
     mode: str = "passive"
     p: float = 0.0                      # action probability for bitflip/drop
-    rule: Optional[Callable[[bytes], Optional[bytes]]] = None  # for modify
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValidationError(f"adversary mode must be one of {MODES}")
         if not 0.0 <= self.p <= 1.0:
             raise ValidationError("adversary probability must lie in [0, 1]")
-        if self.mode == "modify" and self.rule is None:
-            raise ValidationError("modify mode needs a rule")
 
 
 @dataclass
@@ -72,22 +69,15 @@ class Channel:
                 return []
             return [ChannelMessage(payload, sender, self.clock)]
 
-        if mode == "bitflip":
-            if self.rng is not None and self.rng.random() < self.policy.p and payload:
-                pos = int(self.rng.integers(0, len(payload) * 8))
-                flipped = bytearray(payload)
-                flipped[pos // 8] ^= 1 << (7 - pos % 8)
-                self._log(f"bitflip@{pos}", sender)
-                return [ChannelMessage(bytes(flipped), sender, self.clock,
-                                       adversarial=True)]
-            return [ChannelMessage(payload, sender, self.clock)]
-
-        # modify
-        altered = self.policy.rule(payload)
-        if altered is None or altered == payload:
-            return [ChannelMessage(payload, sender, self.clock)]
-        self._log("modify", sender)
-        return [ChannelMessage(altered, sender, self.clock, adversarial=True)]
+        # bitflip
+        if self.rng is not None and self.rng.random() < self.policy.p and payload:
+            pos = int(self.rng.integers(0, len(payload) * 8))
+            flipped = bytearray(payload)
+            flipped[pos // 8] ^= 1 << (7 - pos % 8)
+            self._log(f"bitflip@{pos}", sender)
+            return [ChannelMessage(bytes(flipped), sender, self.clock,
+                                   adversarial=True)]
+        return [ChannelMessage(payload, sender, self.clock)]
 
     def inject(self, payload: bytes) -> ChannelMessage:
         """Adversary-originated traffic (replay or forgery)."""

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from ..errors import (AuthenticationError, FormatError, ProtocolStateError,
                       ReplayError, ValidationError)
@@ -15,9 +15,8 @@ from ..protocols.auth import (AuthMessage1, AuthMessage2, AuthRequest,
                               MSG_DEVICE_RESPONSE, enroll_secret)
 from ..puf import Challenge, create_puf
 from ..xof import derive_rng, expand, seed_bytes
-from .channel import AdversaryPolicy, Channel
+from .channel import MODES, AdversaryPolicy, Channel
 
-AUTH_ADVERSARIES = ("passive", "replay", "bitflip", "drop", "modify")
 ATTEST_ADVERSARIES = ("none", "tamper", "relocate")
 
 
@@ -42,10 +41,10 @@ class ScenarioConfig:
         for key in ("memory_bytes", "chunk_bytes"):
             if getattr(self, key) < 1:
                 raise ValidationError(f"{key} must be >= 1")
-        if self.protocol == "auth" and self.adversary not in AUTH_ADVERSARIES:
-            raise ValidationError(f"auth adversary must be one of {AUTH_ADVERSARIES}")
-        if self.protocol == "attest" and self.adversary not in ATTEST_ADVERSARIES:
-            raise ValidationError(f"attest adversary must be one of {ATTEST_ADVERSARIES}")
+        modes = MODES if self.protocol == "auth" else ATTEST_ADVERSARIES
+        if self.adversary not in modes:
+            raise ValidationError(f"{self.protocol} adversary must be one of {modes}, "
+                                  f"not {self.adversary!r}")
 
     def to_kv(self) -> dict[str, str]:
         return {k: str(getattr(self, k)) for k in (
@@ -107,16 +106,14 @@ def _bump(d: dict[str, int], key: str):
     d[key] = d.get(key, 0) + 1
 
 
-def run_scenario(config: ScenarioConfig,
-                 modify_rule: Optional[Callable[[bytes], Optional[bytes]]] = None
-                 ) -> ScenarioReport:
+def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     config.validate()
     if config.protocol == "auth":
-        return _run_auth(config, modify_rule)
+        return _run_auth(config)
     return _run_attest(config)
 
 
-def _run_auth(config: ScenarioConfig, modify_rule) -> ScenarioReport:
+def _run_auth(config: ScenarioConfig) -> ScenarioReport:
     seed = seed_bytes(config.run_seed)
     puf = create_puf("photonic", expand(seed, "scenario-device-seed", 32),
                      {"noise_sigma": config.noise_sigma})
@@ -127,8 +124,7 @@ def _run_auth(config: ScenarioConfig, modify_rule) -> ScenarioReport:
                            nonce_rng=derive_rng(seed, "scenario-nonce"),
                            noise_rng=noise_rng)
     verifier = VerifierSession(secret, puf.challenge_len)
-    policy = AdversaryPolicy(mode=config.adversary, p=config.adversary_p,
-                             rule=modify_rule)
+    policy = AdversaryPolicy(mode=config.adversary, p=config.adversary_p)
     channel = Channel(policy, rng=derive_rng(seed, "scenario-adversary"))
     pick_rng = derive_rng(seed, "scenario-replay-pick")
 

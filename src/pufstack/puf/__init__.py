@@ -12,9 +12,8 @@ from .arbiter import ArbiterPuf, parity_features
 from .base import (Challenge, CrpBatch, PufInstance, Response,
                    SUPPORTED_CHALLENGE_LENGTHS, challenge_matrix)
 from .photonic import PhotonicParams, PhotonicPuf
-from .sram import SramPuf
 
-KINDS = ("photonic", "arbiter", "sram")
+KINDS = ("photonic", "arbiter")
 
 
 def coerce_seed(seed: Union[bytes, int, str]) -> bytes:
@@ -73,28 +72,12 @@ def create_puf(kind: str, device_seed: Union[bytes, int, str],
         puf: PufInstance = PhotonicPuf(seed, length, params, noise_sigma)
     elif kind == "arbiter":
         puf = ArbiterPuf(seed, length, m, take("replica_sigma", 0.05), noise_sigma)
-    elif kind == "sram":
-        puf = SramPuf(seed, m, length, noise_sigma)
     else:
         raise ValidationError(f"unknown PUF kind {kind!r}; expected one of {KINDS}")
 
     if cfg:
         raise ValidationError(f"unrecognized config keys: {sorted(cfg)}")
     return puf
-
-
-def composite_evaluate(photonic_puf: PufInstance, sram_puf: SramPuf,
-                       challenge: Challenge,
-                       noise_draw: Optional[np.random.Generator] = None) -> Response:
-    """Strong+weak composition: the weak-PUF signature whitens the challenge
-    (XOR, repeated or truncated to L) before the strong PUF sees it, so the
-    externally visible challenge never reaches the photonic core directly."""
-    mask_bits = sram_puf.evaluate(Challenge(np.zeros(sram_puf.challenge_len, dtype=np.uint8))).bits
-    length = photonic_puf.challenge_len
-    reps = -(-length // len(mask_bits))
-    mask = np.tile(mask_bits, reps)[:length]
-    inner = Challenge(np.bitwise_xor(challenge.bits, mask))
-    return photonic_puf.evaluate(inner, noise_draw)
 
 
 def stabilized_response(puf: PufInstance, challenge: Challenge,
@@ -130,7 +113,7 @@ def stabilized_response(puf: PufInstance, challenge: Challenge,
 __all__ = [
     "ArbiterPuf", "Challenge", "CrpBatch",
     "PhotonicParams", "PhotonicPuf", "PufInstance",
-    "Response", "SramPuf", "SUPPORTED_CHALLENGE_LENGTHS", "KINDS",
-    "challenge_matrix", "coerce_seed", "composite_evaluate",
-    "create_puf", "parity_features", "stabilized_response",
+    "Response", "SUPPORTED_CHALLENGE_LENGTHS", "KINDS",
+    "challenge_matrix", "coerce_seed", "create_puf", "parity_features",
+    "stabilized_response",
 ]

@@ -363,12 +363,3 @@ class PhotonicPuf(PufInstance):
         self.gain = self.params.target_mean * raw.size / math.fsum(raw.ravel())
         self._thresholds = np.median(self.gain * raw, axis=0)
         return self._thresholds
-
-    # -- audits -----------------------------------------------------------
-
-    def power_audit(self, challenge: Challenge) -> tuple[float, float]:
-        """(detected, injected) noiseless power in raw units; passivity says
-        detected <= injected because every element has operator norm <= 1."""
-        detected = float(np.sum(self.raw_intensities(challenge.bits[None, :])))
-        injected = float(self.challenge_len)  # unit-norm field per stage
-        return detected, injected

@@ -25,14 +25,18 @@ def _check_label(label: str) -> bytes:
     return raw
 
 
+def _block(seed: bytes, raw_label: bytes, counter: int) -> bytes:
+    return hashlib.sha256(seed + b"\x00" + raw_label + b"\x00"
+                          + counter.to_bytes(4, "big")).digest()
+
+
 def expand(seed: bytes, label: str, n_bytes: int) -> bytes:
     """Derive ``n_bytes`` pseudo-random bytes from (seed, label)."""
     raw = _check_label(label)
     out = bytearray()
     counter = 0
     while len(out) < n_bytes:
-        h = hashlib.sha256(seed + b"\x00" + raw + b"\x00" + counter.to_bytes(4, "big"))
-        out += h.digest()
+        out += _block(seed, raw, counter)
         counter += 1
     return bytes(out[:n_bytes])
 
@@ -73,10 +77,7 @@ class XofStream:
 
     def take(self, n: int) -> bytes:
         while len(self._buf) < n:
-            h = hashlib.sha256(
-                self._seed + b"\x00" + self._label + b"\x00" + self._counter.to_bytes(4, "big")
-            )
-            self._buf += h.digest()
+            self._buf += _block(self._seed, self._label, self._counter)
             self._counter += 1
         out, self._buf = self._buf[:n], self._buf[n:]
         return out

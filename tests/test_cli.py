@@ -95,6 +95,20 @@ class TestMetrics:
         assert run(["metrics", *paths, "--out", tmp_path / "m"]) == 2
         assert key in capsys.readouterr().err
 
+    def test_sram_device_file_exits_2(self, tmp_path, capsys):
+        paths = gen_devices(tmp_path, 2)
+        kv = read_kv(paths[0])
+        write_kv(paths[0], {"kind": "sram", "seed": kv["seed"], "L": kv["L"],
+                            "M": kv["M"], "noise_sigma": kv["noise_sigma"]})
+        assert run(["metrics", *paths, "--out", tmp_path / "m"]) == 2
+        assert "'sram'" in capsys.readouterr().err
+
+    def test_sram_template_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "template.cfg"
+        cfg.write_text("kind = sram\n")
+        assert run(["gen", "--count", 1, "--out", tmp_path / "d", "--config", cfg]) == 2
+        assert "'sram'" in capsys.readouterr().err
+
 
 class TestSweepFilter:
     def test_sweep_csv(self, tmp_path):
@@ -175,6 +189,14 @@ class TestDemos:
         cfg = tmp_path / "scenario.cfg"
         cfg.write_text("trials = 0\n")
         assert run(["demo-auth", "--config", cfg, "--out", tmp_path / "o"]) == 2
+
+    def test_modify_adversary_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text("adversary = modify\n")
+        assert run(["demo-auth", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert "auth adversary must be one of" in err
+        assert "'modify'" in err
 
     @pytest.mark.parametrize("key, value", [("trials", "many"), ("budget_factor", "nan")])
     def test_non_numeric_scenario_value_exits_2(self, tmp_path, capsys, key, value):

@@ -46,16 +46,6 @@ class TestChannel:
             diff = [a ^ b for a, b in zip(out.payload, payload)]
             assert sum(bin(d).count("1") for d in diff) == 1
 
-    def test_modify_rule(self):
-        chan = Channel(AdversaryPolicy(mode="modify",
-                                       rule=lambda p: p[::-1] if len(p) > 1 else None))
-        out = chan.transmit(b"ab", "device")[0]
-        assert out.payload == b"ba"
-        assert out.adversarial
-        out = chan.transmit(b"x", "device")[0]  # rule declined
-        assert out.payload == b"x"
-        assert not out.adversarial
-
     @settings(max_examples=50, deadline=None)
     @given(st.binary(min_size=1, max_size=64), st.integers(0, 2 ** 16))
     def test_every_alteration_is_logged(self, payload, seed):

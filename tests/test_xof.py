@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,17 @@ def test_expand_deterministic():
 
 def test_expand_prefix_consistent():
     assert expand(SEED, "label", 100)[:40] == expand(SEED, "label", 40)
+
+
+def test_expand_known_answer():
+    digest = hashlib.sha256(expand(SEED, "kat", 100)).hexdigest()
+    assert digest == "1127c645418fcff335b338c5fa673b7564c27c155e6cb840b8fd9a47857afced"
+
+
+def test_stream_matches_expand_across_uneven_takes():
+    stream = XofStream(SEED, "kat")
+    taken = stream.take(4) + stream.take(33) + stream.take(63)
+    assert taken == expand(SEED, "kat", 100)
 
 
 def test_labels_separate_streams():
