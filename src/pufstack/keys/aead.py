@@ -10,6 +10,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
+import numpy as np
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
@@ -18,6 +19,11 @@ from .fuzzy import KEY_BYTES, SecretKey
 
 NONCE_BYTES = 12
 TAG_BYTES = 16
+
+
+def wipe(buf: bytearray) -> None:
+    """Overwrite ``buf`` with zeros in place."""
+    np.frombuffer(buf, dtype=np.uint8).fill(0)
 
 
 @dataclass(frozen=True)
@@ -84,12 +90,18 @@ class AeadBox:
         nonce = self._next_nonce()
         return CipheredBlob(nonce, cipher.encrypt(nonce, plaintext, aad))
 
-    def open(self, blob: CipheredBlob, aad: bytes = b"") -> bytes:
+    def open(self, blob: CipheredBlob, aad: bytes = b"") -> bytearray:
+        """The plaintext, in a new buffer that the caller owns and can
+        ``wipe``. A blob that fails authentication raises ``TamperError``,
+        and the unauthenticated plaintext already written is wiped first."""
         cipher = self._live_cipher()
+        plain = bytearray(len(blob.sealed) - TAG_BYTES)
         try:
-            return cipher.decrypt(blob.nonce, blob.sealed, aad)
+            cipher.decrypt_into(blob.nonce, blob.sealed, aad, plain)
         except InvalidTag as exc:
+            wipe(plain)
             raise TamperError("AEAD authentication failed") from exc
+        return plain
 
     def close(self):
         self._cipher = None

@@ -3,7 +3,10 @@
 The accelerator stand-in is a stack of matrix-vector layers with an
 elementwise ReLU. Network configs, inputs, and outputs cross the service
 boundary only as AEAD blobs; plaintext weights live inside this module and
-are zeroized on ``close()`` and when a reload replaces them.
+are zeroized on ``close()`` and when a reload replaces them. The encoded
+plaintext that a seal reads and the decrypted plaintext that an open writes
+are zeroized as soon as they are sealed or decoded, and also when the blob
+fails authentication or decoding.
 
 Plaintext schemas (all big-endian):
   network: u32 layer_count, then per layer u32 rows, u32 cols,
@@ -18,7 +21,7 @@ import struct
 import numpy as np
 
 from ..errors import FormatError, ProtocolStateError
-from .aead import AeadBox, CipheredBlob
+from .aead import AeadBox, CipheredBlob, wipe
 from .fuzzy import SecretKey
 
 _NET_AAD = b"toy-network-config"
@@ -111,28 +114,41 @@ class SecureAccelerator:
         """Replace the loaded network. The old weights are wiped only once
         the new config has authenticated and decoded; a rejected load
         leaves the current network in place."""
-        layers = decode_network(self._box.open(ciphered_network, aad=_NET_AAD))
+        layers = self._open(ciphered_network, _NET_AAD, decode_network)
         self._wipe_layers()
         self._layers = layers
 
     def execute_network(self, ciphered_input: CipheredBlob) -> CipheredBlob:
         if self._layers is None:
             raise ProtocolStateError("no network loaded")
-        v = decode_vector(self._box.open(ciphered_input, aad=_IN_AAD))
+        v = self._open(ciphered_input, _IN_AAD, decode_vector)
         if v.size != self._layers[0].shape[1]:
             raise FormatError("input dimension does not match first layer")
         out = reference_forward(self._layers, v)
-        return self._box.seal(encode_vector(out), aad=_OUT_AAD)
+        return self._seal(encode_vector(out), _OUT_AAD)
 
     def seal_network(self, layers: list[np.ndarray]) -> CipheredBlob:
         """Provisioning-side helper: encrypt a config under this handle's key."""
-        return self._box.seal(encode_network(layers), aad=_NET_AAD)
+        return self._seal(encode_network(layers), _NET_AAD)
 
     def seal_input(self, values: np.ndarray) -> CipheredBlob:
-        return self._box.seal(encode_vector(values), aad=_IN_AAD)
+        return self._seal(encode_vector(values), _IN_AAD)
 
     def open_output(self, blob: CipheredBlob) -> np.ndarray:
-        return decode_vector(self._box.open(blob, aad=_OUT_AAD))
+        return self._open(blob, _OUT_AAD, decode_vector)
+
+    def _seal(self, plain: bytearray, aad: bytes) -> CipheredBlob:
+        try:
+            return self._box.seal(plain, aad=aad)
+        finally:
+            wipe(plain)
+
+    def _open(self, blob: CipheredBlob, aad: bytes, decode):
+        plain = self._box.open(blob, aad=aad)
+        try:
+            return decode(plain)
+        finally:
+            wipe(plain)
 
     def _wipe_layers(self) -> None:
         if self._layers is not None:

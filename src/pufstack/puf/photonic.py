@@ -247,6 +247,12 @@ def _stage_matrices(rng: np.random.Generator, stages: int, p: int) -> np.ndarray
 
     Classical Gram-Schmidt, run twice per column with a renormalization
     after each pass, so a small residual still keeps full grid precision.
+
+    The coefficients conj(B) v are formed as conj(B conj(v)): conjugating
+    the (P,) vector is cheaper than a copy of the (stages, j, P) basis per
+    pass. Both forms take the same real products and partial sums, with
+    signs flipped, of integers below 2^53 (``worst_intermediate``), so
+    they are exact and equal.
     """
     draws = _gaussian_counts(rng, (stages, p, 2 * p)).view(np.complex128)
     rows = np.zeros((stages, p, p), dtype=np.complex128)
@@ -254,7 +260,7 @@ def _stage_matrices(rng: np.random.Generator, stages: int, p: int) -> np.ndarray
         v = draws[:, j]
         basis = rows[:, :j]
         for _ in range(2):
-            coef = _floor((basis.conj() @ v[..., None]) * _GRID)
+            coef = _floor((basis @ v.conj()[..., None]).conj() * _GRID)
             v = v - _floor((coef.transpose(0, 2, 1) @ basis)[:, 0] * _GRID)
             parts = v.view(np.float64)
             v = _truncated_unit(parts, np.sum(parts * parts, axis=1)).view(np.complex128)
@@ -353,13 +359,20 @@ class PhotonicPuf(PufInstance):
 
         The gain normalizes the mean photocurrent to ``target_mean`` so the
         additive noise sigma is meaningful in normalized units; thresholds
-        are per-tap medians, which forces balanced quantization. The mean
-        uses a correctly rounded sum, so the gain is the same on every
-        machine.
+        are per-tap medians, which forces balanced quantization.
+
+        The mean's sum is exact, so the gain is the same on every machine:
+        ``raw`` holds integer counts of 2^-40 below 2^53, whose high and low
+        26-bit halves sum in int64 without overflow for fewer than 2^36
+        entries. ``float`` of the combined Python int rounds correctly, so
+        the total equals ``math.fsum(raw)`` bit for bit.
         """
         if n_samples < 100:
             raise ValidationError("calibration needs n_samples >= 100")
         raw = self._raw(self.random_challenges("calibration-challenges", n_samples))
-        self.gain = self.params.target_mean * raw.size / math.fsum(raw.ravel())
+        counts = (raw * _Q ** 2).astype(np.int64)
+        total = (int(np.sum(counts >> 26)) << 26) + int(np.sum(counts & ((1 << 26) - 1)))
+        self.gain = (self.params.target_mean * raw.size
+                     / math.ldexp(float(total), -2 * GRID_BITS))
         self._thresholds = np.median(self.gain * raw, axis=0)
         return self._thresholds

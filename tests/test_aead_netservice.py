@@ -1,4 +1,5 @@
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from pufstack.errors import FormatError, ProtocolStateError, TamperError
 from pufstack.keys.aead import TAG_BYTES, AeadBox, CipheredBlob
 from pufstack.keys.fuzzy import SecretKey
-from pufstack.keys.netservice import (SecureAccelerator, decode_network,
+from pufstack.keys.netservice import (_NET_AAD, SecureAccelerator, decode_network,
                                       decode_vector, encode_network,
                                       encode_vector, reference_forward)
 
@@ -227,6 +228,53 @@ class TestSecureAccelerator:
         x = np.array([1.0, 2.0])
         out = accel.open_output(accel.execute_network(accel.seal_input(x)))
         assert np.array_equal(out, reference_forward(layers, x))
+
+    def test_plaintext_buffers_wiped(self, monkeypatch):
+        opened, sealed = [], []
+        real_open, real_seal = AeadBox.open, AeadBox.seal
+
+        def recording_open(box, blob, aad=b""):
+            opened.append(real_open(box, blob, aad))
+            return opened[-1]
+
+        def recording_seal(box, plaintext, aad=b""):
+            sealed.append(plaintext)
+            return real_seal(box, plaintext, aad)
+
+        monkeypatch.setattr(AeadBox, "open", recording_open)
+        monkeypatch.setattr(AeadBox, "seal", recording_seal)
+        accel = self._accel()
+        accel.load_network(accel.seal_network([np.full((2, 2), 3.0)]))
+        out = accel.open_output(accel.execute_network(accel.seal_input(np.ones(2))))
+        assert np.array_equal(out, [6.0, 6.0])
+        assert len(opened) == 3 and len(sealed) == 3
+        for buf in opened + sealed:
+            assert buf == bytes(len(buf))
+        # a config that authenticates but does not decode (a trailing
+        # float after its one 1 x 1 layer) is wiped too
+        config = struct.pack(">III2d", 1, 1, 1, 3.0, 3.0)
+        with pytest.raises(FormatError):
+            accel.load_network(accel._box.seal(config, aad=_NET_AAD))
+        assert opened[-1] == bytes(len(opened[-1]))
+
+    def test_unauthenticated_plaintext_wiped(self):
+        box = fresh_box()
+        raw = bytearray(box.seal(b"secret weights").to_bytes())
+        raw[-1] ^= 0x01
+        written = []
+
+        class RecordingCipher:
+            def __init__(self, cipher):
+                self.cipher = cipher
+
+            def decrypt_into(self, nonce, data, aad, buf):
+                written.append(buf)
+                self.cipher.decrypt_into(nonce, data, aad, buf)
+
+        box._cipher = RecordingCipher(box._cipher)
+        with pytest.raises(TamperError):
+            box.open(CipheredBlob.from_bytes(bytes(raw)))
+        assert written == [bytearray(14)]
 
 
 def _pinned_layers():

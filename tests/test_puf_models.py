@@ -485,6 +485,79 @@ class TestIntegerOracle:
         assert oracle_bytes[1].hex() == "a342d412379cc233cde9209c8d6d530e"
 
 
+# -- independent integer oracle for the documented fabrication -------------
+
+def _oracle_draws(rng, shape):
+    """Sums of four uniform integer draws, as nested lists of Python ints."""
+    draws = rng.integers(-(1 << 14), 1 << 14, size=(4,) + shape, dtype=np.int64)
+    return (draws[0].astype(object) + draws[1] + draws[2] + draws[3]).tolist()
+
+
+def _oracle_unit(v, sumsq):
+    """trunc(v * 2^20 / ceil(sqrt(sumsq))) per entry, in Python ints."""
+    root = math.isqrt(sumsq)
+    root += root * root < sumsq
+    return [(abs(x) << 20) // root * (1 if x >= 0 else -1) for x in v]
+
+
+def _oracle_stage(draws):
+    """Two-pass complex Gram-Schmidt of one stage's draws, rows interleaved
+    (re, im) in counts of 2^-20: coef_k = floor(conj(b_k) . v q), then
+    v -= floor(sum_k coef_k b_k q), then renormalize; twice per row."""
+    rows = []
+    for flat in draws:
+        v = _pairs(flat)
+        for _ in range(2):
+            coefs = []
+            for b in rows:
+                re = sum(br * vr + bi * vi for (br, bi), (vr, vi) in zip(b, v))
+                im = sum(br * vi - bi * vr for (br, bi), (vr, vi) in zip(b, v))
+                coefs.append((re >> 20, im >> 20))
+            projected = []
+            for i, (vr, vi) in enumerate(v):
+                re = sum(cr * b[i][0] - ci * b[i][1] for (cr, ci), b in zip(coefs, rows))
+                im = sum(cr * b[i][1] + ci * b[i][0] for (cr, ci), b in zip(coefs, rows))
+                projected += [vr - (re >> 20), vi - (im >> 20)]
+            v = _pairs(_oracle_unit(projected, sum(x * x for x in projected)))
+        rows.append(v)
+    return [[x for pair in row for x in pair] for row in rows]
+
+
+def _oracle_fabrication(device_seed, stages, p, m, keep=None):
+    """(scatter, inject, detect) of the documented construction as lists of
+    interleaved counts; ``keep`` limits the stages orthonormalized."""
+    rng = derive_rng(device_seed, "photonic-fabrication")
+    stage_draws = _oracle_draws(rng, (stages, p, 2 * p))
+    scatter = [_oracle_stage(d) for d in stage_draws[:keep]]
+    inject = [_oracle_unit(u, sum(x * x for x in u)) for u in _oracle_draws(rng, (2, 2 * p))]
+    det = _oracle_draws(rng, (m, 2 * p))
+    flat = _oracle_unit([x for row in det for x in row], sum(x * x for row in det for x in row))
+    detect = [flat[k * 2 * p:(k + 1) * 2 * p] for k in range(m)]
+    return scatter, inject, detect
+
+
+def _library_counts(arr):
+    return [_counts(row.view(np.float64)) for row in arr]
+
+
+class TestFabricationOracle:
+    def test_small_device_agrees_bit_for_bit(self):
+        puf = create_puf("photonic", 5, {"L": 32, "P": 8, "M": 16, "noise_sigma": 0.0})
+        scatter, inject, detect = _oracle_fabrication(puf.device_seed, 32, 8, 16)
+        assert [_library_counts(s) for s in puf.scatter] == scatter
+        assert _library_counts(puf.inject) == inject
+        assert _library_counts(puf.detect) == detect
+
+    def test_seed_1_first_stages_agree_bit_for_bit(self):
+        # the default device behind the pinned goldens; two stages keep the
+        # pure-Python Gram-Schmidt short
+        puf = create_puf("photonic", 1, {"noise_sigma": 0.0})
+        scatter, inject, detect = _oracle_fabrication(puf.device_seed, 64, 32, 128, keep=2)
+        assert [_library_counts(s) for s in puf.scatter[:2]] == scatter
+        assert _library_counts(puf.inject) == inject
+        assert _library_counts(puf.detect) == detect
+
+
 def test_fabrication_pinned():
     # the seed-1 device's grid values, parts interleaved, in counts of 2^-20
     puf = create_puf("photonic", 1, {"noise_sigma": 0.0})
@@ -495,6 +568,51 @@ def test_fabrication_pinned():
         digest.update(np.rint(arr.view(np.float64) * 2.0 ** 20).astype("<i8").tobytes())
     assert digest.hexdigest() == \
         "0701b9e5ed17715b3d4860fd8da7b90ceb50d94044ca26bba3ed031ce3073541"
+
+
+def _sha256(*arrays):
+    digest = hashlib.sha256()
+    for arr in arrays:
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("cfg, device, gain, thresholds", [
+    ({"L": 32},
+     "18f62cfbc5e5b1425ee634c302287b0e6c0694d783f0287060a9149b56f08295",
+     "0x1.06d6ed877da90p+9",
+     "3c58634cdf8fdeec36d8fe0baf5860f77dd9d2df39e3e9b261e2e6988af76d51"),
+    ({"P": 16, "M": 64},
+     "6258b652f526877e5d621d504cc90c65125eedfbf7297a2b312b28abcd56dd28",
+     "0x1.069614bcf2e83p+7",
+     "e3fe2b8cfc0ea61b229081493e9c98ee5dcc42c3e15bcb5dab63c5224e1e714e"),
+    ({"L": 128, "P": 8},
+     "e383efb50665ba1e1fc62ab8c04a8772dbf0635247686d1755b393f988c7a830",
+     "0x1.0383e91846abbp+7",
+     "20f194cb4ba8b23d5faa6d538785ec9dcdf82850cfc101fc18c56d5c52d36a8c"),
+    ({"a": 0.3, "kerr": -25.0},
+     "34ff2444f4baa904370ca590fe7ee032d12ae431542103ca0f9dad71e9e6a4b9",
+     "0x1.80d087e40cb51p+9",
+     "6d625393a966d4e843f24cb207637d519f34911ee14b0f5ad120f28b9ce85b23"),
+], ids=["L32", "P16-M64", "L128-P8", "a0.3-kerr-25"])
+def test_device_shapes_pinned(cfg, device, gain, thresholds):
+    # every bit of the stored arrays, signed zeros included, and the calibration
+    puf = create_puf("photonic", 1, {**cfg, "noise_sigma": 0.0})
+    assert _sha256(puf.scatter.astype("<c16"), puf.inject.astype("<c16"),
+                   puf.detect.astype("<c16")) == device
+    assert puf.gain.hex() == gain
+    assert _sha256(puf.thresholds.astype("<f8")) == thresholds
+
+
+@pytest.mark.parametrize("seed, zero_tap", [(1, None), (17, 5)])
+def test_gain_is_correctly_rounded_mean(seed, zero_tap):
+    # 700 rows span two propagation tiles; fsum is the reference total
+    puf = create_puf("photonic", seed, {"noise_sigma": 0.0})
+    if zero_tap is not None:
+        puf.detect[zero_tap, :] = 0
+    puf.calibrate(700)
+    raw = puf.raw_intensities(puf.random_challenges("calibration-challenges", 700))
+    assert puf.gain == puf.params.target_mean * raw.size / math.fsum(raw.ravel())
 
 
 # -- platform independence -------------------------------------------------
@@ -508,7 +626,8 @@ puf = create_puf("photonic", 1, {"noise_sigma": 0.0})
 digest = hashlib.sha256()
 for arr in (puf.scatter, puf.inject, puf.detect):
     digest.update(np.rint(arr.view(np.float64) * 2.0 ** 20).astype("<i8").tobytes())
-print(enroll_secret(puf).hex(), digest.hexdigest())
+thresholds = hashlib.sha256(puf.thresholds.astype("<f8").tobytes()).hexdigest()
+print(enroll_secret(puf).hex(), digest.hexdigest(), puf.gain.hex(), thresholds)
 """
 
 # OpenBLAS kernels with different dgemm reduction orders, and numpy without
