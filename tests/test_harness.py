@@ -11,6 +11,7 @@ from pufstack.harness import (AdversaryPolicy, AttackConfig, Channel,
                               run_scenario)
 from pufstack.harness.attack import fit_logistic
 from pufstack.puf import create_puf, parity_features
+from pufstack.xof import derive_rng, expand
 
 
 class TestChannel:
@@ -151,6 +152,23 @@ class TestModelingAttack:
         with pytest.raises(ValidationError):
             modeling_attack(crps[:9], crps[8:])
         modeling_attack(crps[:8], crps[8:])
+
+    @pytest.mark.parametrize("device, crps, per_bit, train", [
+        # the criterion-6 photonic device and CRPs
+        (expand(b"\x0a" * 32, "c6-photonic", 32),
+         derive_rng(b"\x0a" * 32, "c6-crps-photonic"),
+         {0: 0.566, 1: 0.532, 2: 0.477, 3: 0.495}, 0.5561),
+        # a device attacked as in one population-batch round
+        (b"\x00" * 32, np.random.default_rng(0),
+         {0: 0.522, 1: 0.544, 2: 0.493, 3: 0.529}, 0.5572),
+    ], ids=["criterion-6", "population-batch"])
+    def test_photonic_attack_pinned(self, device, crps, per_bit, train):
+        crps = harvest_crps(create_puf("photonic", device), 6000, challenge_rng=crps)
+        result = modeling_attack(crps[:5000], crps[5000:],
+                                 AttackConfig(target_bits=(0, 1, 2, 3)))
+        assert result.status == "ok"
+        assert result.per_bit_test_accuracy == per_bit
+        assert result.train_accuracy == train
 
     def test_fit_logistic_recovers_separator(self):
         rng = np.random.default_rng(7)
