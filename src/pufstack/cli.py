@@ -204,6 +204,9 @@ def cmd_demo_attest(args) -> int:
 
 
 def cmd_attack(args) -> int:
+    for flag, value in (("--train", args.train), ("--test", args.test)):
+        if value < 1:
+            raise ValidationError(f"{flag} must be >= 1, got {value}")
     out = _outdir(args)
     seed = seed_bytes(args.seed)
     results = {}

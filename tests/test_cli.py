@@ -240,6 +240,25 @@ class TestAttack:
         assert f"target bit {bit} is outside" in capsys.readouterr().err
         assert not (tmp_path / "a" / "attack_arbiter.kv").exists()
 
+    @pytest.mark.parametrize("flag, other", [("--train", "--test"),
+                                             ("--test", "--train")],
+                             ids=["train", "test"])
+    @pytest.mark.parametrize("value", [0, -5])
+    def test_size_below_one_exits_2(self, tmp_path, capsys, flag, other, value):
+        # a negative size once sliced the harvested batch from its end
+        code = run(["attack", "--kinds", "arbiter", flag, value, other, 20,
+                    "--out", tmp_path / "a"])
+        assert code == 2
+        assert f"{flag} must be >= 1, got {value}" in capsys.readouterr().err
+        assert not (tmp_path / "a" / "attack_arbiter.kv").exists()
+
+    def test_repeated_bit_exits_2(self, tmp_path, capsys):
+        code = run(["attack", "--kinds", "arbiter", "--train", 50,
+                    "--test", 10, "--bits", 0, 1, 0, "--out", tmp_path / "a"])
+        assert code == 2
+        assert "target bit 0 is repeated" in capsys.readouterr().err
+        assert not (tmp_path / "a" / "attack_arbiter.kv").exists()
+
 
 class TestBench:
     def test_bench_report(self, tmp_path):

@@ -9,7 +9,7 @@ from pufstack.errors import ValidationError
 from pufstack.harness import (AdversaryPolicy, AttackConfig, Channel,
                               ScenarioConfig, harvest_crps, modeling_attack,
                               run_scenario)
-from pufstack.harness.attack import fit_logistic
+from pufstack.harness.attack import NEWTON_STEPS, fit_logistic
 from pufstack.puf import create_puf, parity_features
 from pufstack.xof import derive_rng, expand
 
@@ -175,26 +175,43 @@ class TestModelingAttack:
         w_true = rng.normal(size=5)
         x = parity_features(rng.integers(0, 2, size=(400, 4), dtype=np.uint8))
         y = (x @ w_true >= 0).astype(np.float64)
-        w = fit_logistic(x, y, 0.5, 500)
+        w = fit_logistic(x, y)
         assert np.mean((x @ w >= 0) == y) >= 0.95
 
     def test_fit_logistic_fits_label_columns_at_once(self):
-        # 2500 rows span two full gradient tiles and a partial one; the
-        # reference is whole-batch descent on one column at a time
+        # the reference is a whole-batch Newton loop on one column at a time
         rng = np.random.default_rng(11)
         x = parity_features(rng.integers(0, 2, size=(2500, 8), dtype=np.uint8))
         y = (x @ rng.normal(size=(9, 3)) + rng.normal(size=(2500, 3)) >= 0).astype(np.float64)
-        w = fit_logistic(x, y, 0.5, 200)
+        w = fit_logistic(x, y)
         assert w.shape == (9, 3)
         for k in range(3):
             reference = np.zeros(9)
-            for _ in range(200):
+            for _ in range(NEWTON_STEPS):
                 p = 0.5 * (1.0 + np.tanh(0.5 * (x @ reference)))
-                reference -= 0.5 * (x.T @ (p - y[:, k])) / len(x)
-            single = fit_logistic(x, y[:, k], 0.5, 200)
+                hessian = x.T @ (x * (p * (1.0 - p))[:, None])
+                reference -= np.linalg.lstsq(hessian, x.T @ (p - y[:, k]), rcond=None)[0]
+            single = fit_logistic(x, y[:, k])
             for fitted in (w[:, k], single):
                 assert np.allclose(fitted, reference, rtol=0, atol=1e-12)
                 assert np.array_equal(x @ fitted >= 0, x @ reference >= 0)
+
+    def test_fit_logistic_reaches_stationary_point(self):
+        # photonic taps are not linearly separable, so the logistic loss has
+        # a finite minimum, and the fit must end on it
+        crps = harvest_crps(create_puf("photonic", 21), 2000,
+                            challenge_rng=np.random.default_rng(22))
+        x = parity_features(crps.challenges)
+        y = crps.bits[:, :4].astype(np.float64)
+        w = fit_logistic(x, y)
+        p = 0.5 * (1.0 + np.tanh(0.5 * (x @ w)))
+        assert np.abs(x.T @ (p - y)).max() / len(x) < 1e-10
+
+    def test_repeated_target_bit_rejected(self):
+        crps = harvest_crps(create_puf("arbiter", 13), 60,
+                            challenge_rng=np.random.default_rng(10))
+        with pytest.raises(ValidationError, match="target bit 1 is repeated"):
+            modeling_attack(crps[:50], crps[50:], AttackConfig(target_bits=(1, 0, 1)))
 
     def test_degenerate_bit_beside_fitted_bit(self):
         crps = harvest_crps(create_puf("arbiter", 12), 1200,
