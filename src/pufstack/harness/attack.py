@@ -2,8 +2,8 @@
 
 The attack is the classical one against arbiter-style PUFs: logistic
 regression over the parity feature map, fitted by a fixed number of
-Newton (IRLS) steps. It serves as the yardstick separating the linearly separable
-arbiter baseline from the photonic model.
+Newton (IRLS) steps. It serves as the yardstick separating the linearly
+separable arbiter baseline from the photonic model.
 """
 
 from __future__ import annotations
