@@ -2,10 +2,13 @@
 only tests/. These tests read the benchmark's sources without running them
 and fail as soon as a package name they use is deleted or renamed: every
 ``from pufstack... import name`` and every ``module.attr`` access on an
-imported pufstack module must resolve."""
+imported pufstack module must resolve. Every call on a resolved pufstack
+callable must also bind to its signature: no more positional arguments
+than it takes, no keyword it lacks, and every required argument given."""
 
 import ast
 import importlib
+import inspect
 import types
 from pathlib import Path
 
@@ -34,19 +37,30 @@ def _chain(node: ast.Attribute):
     return (node.id, attrs[::-1]) if isinstance(node, ast.Name) else (None, [])
 
 
-def unresolved_names(source: str) -> list[str]:
-    """Package names used by ``source`` that do not exist."""
-    tree = ast.parse(source)
+def _imports(tree: ast.AST):
+    """({local name: module} of the imported pufstack modules,
+    {local name: object} of every imported pufstack name, [missing names])."""
     modules: dict[str, types.ModuleType] = {}
+    objects: dict[str, object] = {}
     missing = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "pufstack":
             for alias in node.names:
                 obj = _imported(node.module, alias.name)
+                local = alias.asname or alias.name
                 if obj is None:
                     missing.append(f"{node.module}.{alias.name}")
-                elif isinstance(obj, types.ModuleType):
-                    modules[alias.asname or alias.name] = obj
+                    continue
+                objects[local] = obj
+                if isinstance(obj, types.ModuleType):
+                    modules[local] = obj
+    return modules, objects, missing
+
+
+def unresolved_names(source: str) -> list[str]:
+    """Package names used by ``source`` that do not exist."""
+    tree = ast.parse(source)
+    modules, _, missing = _imports(tree)
     for node in ast.walk(tree):
         if not isinstance(node, ast.Attribute):
             continue
@@ -62,9 +76,41 @@ def unresolved_names(source: str) -> list[str]:
     return sorted(set(missing))
 
 
+def unbound_calls(source: str) -> list[str]:
+    """``name: reason`` for each call in ``source`` on an imported pufstack
+    callable whose arguments do not bind to that callable's signature.
+    Calls that unpack ``*args`` or ``**kwargs`` are not checked."""
+    tree = ast.parse(source)
+    _, objects, _ = _imports(tree)
+    unbound = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        base, attrs = _chain(node.func) if isinstance(node.func, ast.Attribute) \
+            else (getattr(node.func, "id", None), [])
+        if base not in objects:
+            continue
+        obj = objects[base]
+        for attr in attrs:
+            obj = getattr(obj, attr, None)
+        if not callable(obj) or any(isinstance(a, ast.Starred) for a in node.args) \
+                or any(k.arg is None for k in node.keywords):
+            continue
+        try:
+            inspect.signature(obj).bind(*node.args, **{k.arg: k.value for k in node.keywords})
+        except TypeError as exc:
+            unbound.append(f"{'.'.join([base, *attrs])}: {exc}")
+    return sorted(unbound)
+
+
 @pytest.mark.parametrize("name", ["workloads.py", "reference.py"])
 def test_benchmark_names_resolve(name):
     assert unresolved_names((BENCH / name).read_text()) == []
+
+
+@pytest.mark.parametrize("name", ["workloads.py", "reference.py"])
+def test_benchmark_calls_bind(name):
+    assert unbound_calls((BENCH / name).read_text()) == []
 
 
 def test_deleted_names_are_reported():
@@ -76,3 +122,18 @@ def test_deleted_names_are_reported():
     assert unresolved_names(source) == ["harness.Channel.no_such_method",
                                         "harness.NoSuchConfig",
                                         "pufstack.puf.NoSuchPuf"]
+
+
+def test_unbound_calls_are_reported():
+    source = ("from pufstack import harness, puf\n"
+              "from pufstack.puf import create_puf\n"
+              "p = create_puf('photonic', 1)\n"
+              "harness.Channel(harness.AdversaryPolicy(mode='replay'))\n"
+              "harness.harvest_crps(p, 3, no_such=1)\n"
+              "puf.create_puf('photonic', 1, {}, 4)\n"
+              "create_puf(kind='photonic')\n"
+              "harness.run_scenario(*args)\n")
+    reported = unbound_calls(source)
+    assert [entry.split(":")[0] for entry in reported] == [
+        "create_puf", "harness.harvest_crps", "puf.create_puf"]
+    assert "device_seed" in reported[0]

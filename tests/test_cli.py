@@ -1,4 +1,5 @@
 import csv
+import hashlib
 
 import pytest
 
@@ -279,6 +280,87 @@ class TestBench:
         kv = read_kv(out / "bench.kv")
         assert "uniqueness" in kv
         assert "far" not in kv and "frr" not in kv
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestOutputsPinned:
+    """SHA-256 of every file each subcommand writes, manifest aside, at
+    small sizes: a refactor that moves no output leaves these unedited."""
+
+    GEN = ["9aeb334bbbfa3ef5110685514b057212ad62c24601f4a8093a4a12a3a7dc4351",
+           "190cd479ca728b842abbd76556aa4f8bde44a15858d45664f909f4e255395054",
+           "e3a8f47ec8f835d9bb381c90929bcb5e0204d633772ed0b1fa94d341965b2912"]
+
+    @pytest.fixture(scope="class")
+    def devices(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("pinned") / "devices"
+        assert run(["gen", "--count", 3, "--seed", 1, "--out", out]) == 0
+        return sorted(out.glob("device_*.cfg"))
+
+    def test_gen(self, devices):
+        texts = ["".join(line for line in path.read_text().splitlines(True)
+                         if not line.startswith("target_mean"))
+                 for path in devices]
+        assert [hashlib.sha256(t.encode()).hexdigest() for t in texts] == self.GEN
+
+    @pytest.mark.parametrize("argv, digests", [
+        (["metrics", "--challenges", 4, "--reevals", 2, "--seed", 2],
+         {"metrics.kv": "14c7fa198e255639a10ba7e761917bf5622c06cbcf518daeeb5b1637d8aad546",
+          "per_bit.csv": "f8160c3aa5479a82196fcee6098426ba37c10d2397fe03faa3ed3e24c6634159"}),
+        (["sweep-filter", "--challenges", 4, "--reevals", 2, "--seed", 3],
+         {"sweep.csv": "ce2316aab00eb1d6a6d7eae71a9a6f4bc6287c13b4395999383ff6f4ed294a23"}),
+    ], ids=["metrics", "sweep-filter"])
+    def test_device_file_commands(self, tmp_path, devices, argv, digests):
+        assert run([*argv, *devices, "--out", tmp_path]) == 0
+        assert {name: _sha256(tmp_path / name) for name in digests} == digests
+
+    @pytest.mark.parametrize("argv, digests", [
+        (["bench", "--devices", 3, "--challenges", 4, "--reevals", 2, "--seed", 4],
+         {"bench.kv": "54faee919fa5d41cbe09126d8f82882a37da25bf63bf82e981a10b1d99053400"}),
+        (["attack", "--train", 200, "--test", 50, "--bits", 0, 1, "--seed", 5],
+         {"attack_arbiter.kv": "daf5ab2a91fa8707a67f69673d6a19b9cc0e0d1ee32faf734748ecde2a349302",
+          "attack_photonic.kv": "3667378d21c66eb625b6505a688aca88278d54b3db51f55e2b1bc428a6a6de71"}),
+    ], ids=["bench", "attack"])
+    def test_seeded_commands(self, tmp_path, argv, digests):
+        assert run([*argv, "--out", tmp_path]) == 0
+        assert {name: _sha256(tmp_path / name) for name in digests} == digests
+
+    @pytest.mark.parametrize("command, config, adversary, scenario, trials", [
+        ("demo-auth", "adversary_p = 0.5", "passive",
+         "9a91cfb832c03b08889aa23052940183bd81e7bbab92f9796f7c714abeb6ea41",
+         "bf08c1b0ee1b1ca69d8bad1e3b920564b1e3eca0a4d1f57708e23738803f1e59"),
+        ("demo-auth", "adversary_p = 0.5", "replay",
+         "fcfcb1df3d8de6ebfe8399a2d96af225e9859a4ea19f7178a55da92906c0f5d4",
+         "bf08c1b0ee1b1ca69d8bad1e3b920564b1e3eca0a4d1f57708e23738803f1e59"),
+        ("demo-auth", "adversary_p = 0.5", "bitflip",
+         "b5f52cf367a466ae8fec6587a7932a228187438c760af0ef75066c1221a0c923",
+         "17dd62c2c85119f359039b0c2b1767167e4da5a9e635dfc4a5524bfbdbd0ca42"),
+        ("demo-auth", "adversary_p = 0.5", "drop",
+         "72c71f1600960a0dfcd4875e4419054976efa7b7aa8eb7c588d847b5e725e695",
+         "845272c1340924ae6c9b8f8542c3abf2f161cdcc1f216bf49d743df87af5ca92"),
+        ("demo-attest", "memory_bytes = 4096", "none",
+         "c8426a467c875b360c745972f5eb9345310b3454f33e7e494ef172aa259f245c",
+         "be0be80a3997003fbbd5efb81d9461f137af8ad57586d5b455813903e44f96b4"),
+        ("demo-attest", "memory_bytes = 4096", "tamper",
+         "0628006dd1481dac9fd71c669076b6e63c03ede5562e4fef2c2eca1b526163fc",
+         "1cb54da360f7a81470f466789a36e09ada09ab61f2df4af8a95bd83ccfd63b88"),
+        ("demo-attest", "memory_bytes = 4096", "relocate",
+         "e78d8f618e3c7ece88abda844c5319fe49be7a7db311baf7cefcbef9a2840b6a",
+         "e1ea82412e14318794e57e8f58308661d60f2b0fed15e74130732c3961d57620"),
+    ], ids=["auth-passive", "auth-replay", "auth-bitflip", "auth-drop",
+            "attest-none", "attest-tamper", "attest-relocate"])
+    def test_scenarios(self, tmp_path, command, config, adversary, scenario, trials):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(config + "\n")
+        out = tmp_path / "out"
+        count = 12 if command == "demo-auth" else 3
+        seed = 6 if command == "demo-auth" else 7
+        assert run([command, "--adversary", adversary, "--trials", count,
+                    "--seed", seed, "--config", cfg, "--out", out]) == 0
+        assert [_sha256(out / "scenario.kv"), _sha256(out / "trials.csv")] == [scenario, trials]
 
 
 def test_version_flag(capsys):
