@@ -56,9 +56,15 @@ def _write_manifest(args, out: Path):
     })
 
 
+def _at_least(flag: str, value: int, low: int) -> None:
+    if value < low:
+        raise ValidationError(f"{flag} must be >= {low}, got {value}")
+
+
 # -- subcommands ----------------------------------------------------------
 
 def cmd_gen(args) -> int:
+    _at_least("--count", args.count, 1)
     out = _outdir(args)
     base = read_kv(args.config) if args.config else {"kind": "photonic"}
     base.pop("seed", None)
@@ -100,6 +106,7 @@ def _population_report(args, pufs, noise_label: str) -> MetricsReport:
 
 
 def cmd_metrics(args) -> int:
+    _at_least("--reevals", args.reevals, 0)
     out = _outdir(args)
     pufs = _load_devices(args.devices)
     if len(pufs) < 2:
@@ -134,6 +141,7 @@ DEFAULT_GRID = ("0:inf,0.01:inf,0.02:inf,0.03:inf,0.04:inf,0.05:inf,"
 
 
 def cmd_sweep_filter(args) -> int:
+    _at_least("--reevals", args.reevals, 0)
     out = _outdir(args)
     pufs = _load_devices(args.devices)
     seed = seed_bytes(args.seed)
@@ -204,9 +212,8 @@ def cmd_demo_attest(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    for flag, value in (("--train", args.train), ("--test", args.test)):
-        if value < 1:
-            raise ValidationError(f"{flag} must be >= 1, got {value}")
+    _at_least("--train", args.train, 1)
+    _at_least("--test", args.test, 1)
     out = _outdir(args)
     seed = seed_bytes(args.seed)
     results = {}
@@ -225,6 +232,7 @@ def cmd_attack(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    _at_least("--reevals", args.reevals, 0)
     out = _outdir(args)
     seed = seed_bytes(args.seed)
     pufs = [create_puf("photonic", expand(seed, f"bench-device-{i}", 32))

@@ -40,10 +40,13 @@ class ChannelMessage:
 
 class Channel:
     """One-direction-agnostic in-order pipe between two endpoints. A replay
-    adversary keeps a copy of every payload in ``harvested``."""
+    adversary keeps a copy of every payload in ``harvested``; a drop or
+    bitflip adversary draws its actions from ``rng``."""
 
     def __init__(self, policy: AdversaryPolicy,
                  rng: Optional[np.random.Generator] = None):
+        if policy.mode in ("drop", "bitflip") and rng is None:
+            raise ValidationError(f"a {policy.mode} adversary needs an rng")
         self.policy = policy
         self.rng = rng
         self.clock = 0
@@ -64,13 +67,13 @@ class Channel:
             return [ChannelMessage(payload, sender, self.clock)]
 
         if mode == "drop":
-            if self.rng is not None and self.rng.random() < self.policy.p:
+            if self.rng.random() < self.policy.p:
                 self._log("drop", sender)
                 return []
             return [ChannelMessage(payload, sender, self.clock)]
 
         # bitflip
-        if self.rng is not None and self.rng.random() < self.policy.p and payload:
+        if self.rng.random() < self.policy.p and payload:
             pos = int(self.rng.integers(0, len(payload) * 8))
             flipped = bytearray(payload)
             flipped[pos // 8] ^= 1 << (7 - pos % 8)

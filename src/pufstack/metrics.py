@@ -8,14 +8,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .puf.base import _challenge_bits
-
-
-def _as_bit_matrix(matrix) -> np.ndarray:
-    mat = np.asarray(matrix, dtype=np.uint8)
-    if mat.ndim != 2 or mat.size == 0:
-        raise ValidationError("response matrix must be a non-empty 2-D array")
-    return mat
+from .puf.base import _bit_array
 
 
 def bit_entropy(p: np.ndarray) -> np.ndarray:
@@ -65,7 +58,7 @@ def pairwise_hd(matrix) -> np.ndarray:
     Computed from inner products; every entry is an integer below 2**53, so
     the float result is exact.
     """
-    fm = _as_bit_matrix(matrix).astype(np.float64)
+    fm = _bit_array(matrix, 2, "response matrix").astype(np.float64)
     gram = fm @ fm.T
     ones = fm.sum(axis=1)
     return ones[:, None] + ones[None, :] - 2 * gram
@@ -77,8 +70,10 @@ def compute_metrics(matrix, revaluations=None) -> MetricsReport:
     ``matrix`` is (devices, bits); ``revaluations`` is (repeats, devices, bits)
     noisy re-reads of the same cells, with the matrix as golden reference.
     """
-    mat = _as_bit_matrix(matrix)
+    mat = _bit_array(matrix, 2, "response matrix")
     d = mat.shape[0]
+    if mat.size == 0:
+        raise ValidationError("response matrix must be non-empty")
     if d < 2:
         raise ValidationError("inter-device metrics need at least 2 devices")
 
@@ -93,8 +88,8 @@ def compute_metrics(matrix, revaluations=None) -> MetricsReport:
 
     reliability = None
     if revaluations is not None:
-        rev = np.asarray(revaluations, dtype=np.uint8)
-        if rev.ndim != 3 or rev.shape[1:] != mat.shape:
+        rev = _bit_array(revaluations, 3, "revaluations")
+        if rev.shape[1:] != mat.shape:
             raise ValidationError("revaluations must be (repeats, devices, bits)")
         if rev.shape[0] < 2:
             raise ValidationError("reliability needs at least 2 re-evaluations")
@@ -138,7 +133,7 @@ def population_responses(pufs, challenges, n_reevals: int = 0,
     """
     if len(pufs) == 0 or len(challenges) == 0:
         raise ValidationError("population needs devices and challenges")
-    challenges = _challenge_bits(challenges, 2)
+    challenges = _bit_array(challenges, 2, "challenge bits")
     batches = [puf.evaluate_many(challenges) for puf in pufs]
     golden = np.stack([b.bits.ravel() for b in batches])
     margins = np.stack([b.margins.ravel() for b in batches])
@@ -173,7 +168,11 @@ def band_sweep(golden: np.ndarray, margins: np.ndarray,
     """
     if len(bands) == 0:
         raise ValidationError("band grid must be non-empty")
-    golden = _as_bit_matrix(golden)
+    golden = _bit_array(golden, 2, "golden responses")
+    if golden.size == 0:
+        raise ValidationError("golden responses must be non-empty")
+    if reevals is not None:
+        reevals = _bit_array(reevals, 3, "re-reads")
     rows = []
     for band in bands:
         mask = band.contains(margins)

@@ -13,14 +13,15 @@ from ..xof import bits_to_bytes, bytes_to_bits, derive_rng, expand_bits
 SUPPORTED_CHALLENGE_LENGTHS = (32, 64, 128)
 
 
-def _challenge_bits(bits, ndim: int) -> np.ndarray:
-    """``bits`` as a uint8 array of rank ``ndim`` whose entries are all 0/1."""
+def _bit_array(bits, ndim: int, name: str) -> np.ndarray:
+    """``bits`` as a uint8 array of rank ``ndim`` whose entries are all 0/1;
+    ``name`` says in an error what the array holds."""
     try:
         arr = np.asarray(bits)
     except ValueError as exc:   # ragged rows, e.g. challenges of unequal length
-        raise ChallengeShapeError(f"challenges do not stack into one array: {exc}") from exc
+        raise ChallengeShapeError(f"{name}: rows do not stack into one array: {exc}") from exc
     if arr.ndim != ndim:
-        raise ValidationError(f"challenge bits must be a {ndim}-D array")
+        raise ValidationError(f"{name} must be a {ndim}-D array")
     if arr.dtype == np.uint8:
         valid = arr.max(initial=0) <= 1
     else:   # check before the cast, which would wrap 256 and truncate 0.7 to a bit
@@ -28,7 +29,7 @@ def _challenge_bits(bits, ndim: int) -> np.ndarray:
         valid = (flags == arr).all()
         arr = flags.view(np.uint8)
     if not valid:
-        raise ValidationError("challenge bits must be 0/1")
+        raise ValidationError(f"{name} must be 0/1")
     return arr
 
 
@@ -44,7 +45,7 @@ class Challenge:
     bits: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "bits", _challenge_bits(self.bits, 1))
+        object.__setattr__(self, "bits", _bit_array(self.bits, 1, "challenge bits"))
 
     def __len__(self) -> int:
         return len(self.bits)
@@ -147,7 +148,7 @@ class PufInstance:
     def _challenge_rows(self, challenges) -> np.ndarray:
         """The validated (N, L) uint8 matrix of ``challenges``: anything
         np.asarray stacks into one, such as a list of challenges."""
-        mat = _challenge_bits(challenges, 2)
+        mat = _bit_array(challenges, 2, "challenge bits")
         if mat.shape[1] != self.challenge_len:
             raise ChallengeShapeError(
                 f"challenge length {mat.shape[1]} != device L={self.challenge_len}"

@@ -50,6 +50,14 @@ class TestGen:
         assert kv["kind"] == "arbiter"
         assert kv["L"] == "32"
 
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_count_below_one_exits_2(self, tmp_path, capsys, count):
+        # a negative count once wrote only manifest.kv and exited 0
+        out = tmp_path / "devices"
+        assert run(["gen", "--count", count, "--out", out]) == 2
+        assert f"--count must be >= 1, got {count}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_length_exits_2_and_names_parameter(self, tmp_path, capsys):
         cfg = tmp_path / "template.cfg"
         cfg.write_text("kind = photonic\nL = 48\n")
@@ -137,6 +145,17 @@ class TestSweepFilter:
         assert run(["sweep-filter", *paths, "--out", tmp_path / "s",
                     "--grid", grid]) == 2
         assert repr(grid.split(",")[-1]) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["metrics", "sweep-filter", "bench"])
+def test_negative_reevals_exits_2(tmp_path, capsys, command):
+    # metrics once exited 0 and silently left out reliability, far and frr
+    devices = gen_devices(tmp_path, 2) if command != "bench" else []
+    out = tmp_path / "out"
+    assert run([command, *devices, "--reevals", -3, "--challenges", 2,
+                "--out", out]) == 2
+    assert "--reevals must be >= 0, got -3" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestDemos:

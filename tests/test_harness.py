@@ -66,6 +66,14 @@ class TestChannel:
         assert msg.sender == "adversary"
         assert chan.log[-1]["action"] == "inject"
 
+    @pytest.mark.parametrize("mode", ["drop", "bitflip"])
+    def test_acting_mode_needs_rng(self, mode):
+        # without an rng the adversary never acted, so the message went through
+        with pytest.raises(ValidationError, match="rng"):
+            Channel(AdversaryPolicy(mode=mode, p=1.0))
+        for passive in ("passive", "replay"):
+            Channel(AdversaryPolicy(mode=passive))
+
     def test_policy_validation(self):
         with pytest.raises(ValidationError):
             AdversaryPolicy(mode="jam")

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from pufstack.errors import ChallengeShapeError, ValidationError
 from pufstack.metrics import (FilterBand, band_sweep, bit_entropy,
-                              compute_metrics, decision_rates,
+                              compute_metrics, decision_rates, pairwise_hd,
                               population_responses)
 from pufstack.puf import Challenge, create_puf
 
@@ -73,6 +73,22 @@ class TestComputeMetrics:
         with pytest.raises(ValidationError):
             compute_metrics(np.zeros((2, 8), dtype=np.uint8),
                             np.zeros((2, 2, 9), dtype=np.uint8))
+
+
+# a 2 once counted as a one in uniformity (0.75) and gave a pairwise
+# distance of -4; an int64 256 wrapped to 0 in the uint8 cast
+@pytest.mark.parametrize("entry", [2, 256, 0.5, -1])
+def test_non_bit_responses_rejected(entry):
+    bits = np.array([[0, 1], [1, 0]], dtype=np.uint8)
+    bad = np.array([[0, entry], [1, 0]])
+    rev = np.stack([bits, bad])
+    margins, band = np.zeros((2, 2)), [FilterBand(0, 1)]
+    for call in (lambda: compute_metrics(bad), lambda: pairwise_hd(bad),
+                 lambda: band_sweep(bad, margins, None, band),
+                 lambda: compute_metrics(bits, rev),
+                 lambda: band_sweep(bits, margins, rev, band)):
+        with pytest.raises(ValidationError, match="0/1"):
+            call()
 
 
 @settings(max_examples=100, deadline=None)
