@@ -232,6 +232,7 @@ def cmd_attack(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    _at_least("--devices", args.devices, 2)
     _at_least("--reevals", args.reevals, 0)
     out = _outdir(args)
     seed = seed_bytes(args.seed)

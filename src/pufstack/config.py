@@ -46,8 +46,7 @@ def puf_to_kv(puf: PufInstance) -> dict[str, str]:
     }
     if puf.kind == "photonic":
         p = puf.params
-        kv.update(P=str(p.n_paths), a=repr(p.mem_decay), kerr=repr(p.kerr_coeff),
-                  target_mean=repr(p.target_mean))
+        kv.update(P=str(p.n_paths), a=repr(p.mem_decay), kerr=repr(p.kerr_coeff))
     elif puf.kind == "arbiter":
         kv["replica_sigma"] = repr(puf.replica_sigma)
     return kv

@@ -18,17 +18,14 @@ from ..puf import CrpBatch, PufInstance, parity_features
 
 
 def harvest_crps(puf: PufInstance, n: int,
-                 challenge_rng: Optional[np.random.Generator] = None,
-                 noise_rng: Optional[np.random.Generator] = None) -> CrpBatch:
-    """Record n challenge-response pairs under uniform random challenges."""
+                 challenge_rng: np.random.Generator) -> CrpBatch:
+    """Record n noiseless challenge-response pairs under uniform random
+    challenges drawn from ``challenge_rng``."""
     if n < 1:
         raise ValidationError("harvest needs n >= 1")
-    if challenge_rng is None:
-        challenges = puf.random_challenges("harvest", n)
-    else:
-        challenges = challenge_rng.integers(0, 2, size=(n, puf.challenge_len),
-                                            dtype=np.uint8)
-    return puf.evaluate_many(challenges, noise_rng)
+    challenges = challenge_rng.integers(0, 2, size=(n, puf.challenge_len),
+                                        dtype=np.uint8)
+    return puf.evaluate_many(challenges)
 
 
 # Newton steps per fit, from w = 0. On criterion 6's 5000 photonic CRPs
@@ -78,17 +75,15 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 def fit_logistic(features: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Fit logistic loss by ``NEWTON_STEPS`` Newton steps; returns the weights.
 
-    ``labels`` of shape (n,) give weights of shape (d,); labels of shape
-    (n, K) fit K independent models at once and give weights (d, K). Each
-    step forms the gradient x^T (sigmoid(x w) - y) of all K columns in one
-    product, then moves each column by the least-squares solution of
-    H s = g with its Hessian H = x^T diag(p (1 - p)) x. The gradient lies
-    in the row space of x, so on the singular Hessians of tiny or
-    separable sets the minimum-norm solution is the Newton step in that
-    space, and no ridge term is needed.
+    ``labels`` of shape (n, K) fit K independent models at once and give
+    weights of shape (d, K); one target is a (n, 1) column. Each step forms
+    the gradient x^T (sigmoid(x w) - y) of all K columns in one product,
+    then moves each column by the least-squares solution of H s = g with
+    its Hessian H = x^T diag(p (1 - p)) x. The gradient lies in the row
+    space of x, so on the singular Hessians of tiny or separable sets the
+    minimum-norm solution is the Newton step in that space, and no ridge
+    term is needed.
     """
-    if labels.ndim == 1:
-        return fit_logistic(features, labels[:, None])[:, 0]
     w = np.zeros((features.shape[1], labels.shape[1]))
     for _ in range(NEWTON_STEPS):
         p = _sigmoid(features @ w)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -18,6 +19,9 @@ from ..xof import derive_rng, expand, seed_bytes
 from .channel import MODES, AdversaryPolicy, Channel
 
 ATTEST_ADVERSARIES = ("none", "tamper", "relocate")
+# Per-chunk time of the simulated relocate adversary relative to the honest
+# device: its cost, not a verifier setting (that is budget_factor).
+RELOCATE_OVERHEAD = 1.5
 
 
 @dataclass
@@ -31,7 +35,6 @@ class ScenarioConfig:
     memory_bytes: int = 16384
     chunk_bytes: int = 1024
     budget_factor: float = 1.2
-    overhead_factor: float = 1.5
 
     def validate(self):
         if self.protocol not in ("auth", "attest"):
@@ -49,8 +52,7 @@ class ScenarioConfig:
     def to_kv(self) -> dict[str, str]:
         return {k: str(getattr(self, k)) for k in (
             "protocol", "adversary", "adversary_p", "trials", "run_seed",
-            "noise_sigma", "memory_bytes", "chunk_bytes", "budget_factor",
-            "overhead_factor")}
+            "noise_sigma", "memory_bytes", "chunk_bytes", "budget_factor")}
 
     @classmethod
     def from_kv(cls, kv: dict[str, str]) -> "ScenarioConfig":
@@ -123,7 +125,8 @@ def _run_auth(config: ScenarioConfig) -> ScenarioReport:
     device = DeviceSession(puf, secret, memory_image=memory,
                            nonce_rng=derive_rng(seed, "scenario-nonce"),
                            noise_rng=noise_rng)
-    verifier = VerifierSession(secret, puf.challenge_len)
+    verifier = VerifierSession(secret, puf.challenge_len,
+                               golden_memory_hash=hashlib.sha256(memory).digest())
     policy = AdversaryPolicy(mode=config.adversary, p=config.adversary_p)
     channel = Channel(policy, rng=derive_rng(seed, "scenario-adversary"))
     pick_rng = derive_rng(seed, "scenario-replay-pick")
@@ -241,7 +244,7 @@ def _run_attest(config: ScenarioConfig) -> ScenarioReport:
             device_memory = bytes(tampered)
             adv_attempts += 1
         elif config.adversary == "relocate":
-            overhead = config.overhead_factor
+            overhead = RELOCATE_OVERHEAD
             adv_attempts += 1
 
         report = device_attest(request, device_memory, puf,

@@ -3,11 +3,11 @@
 Session i: the device derives the next challenge from the current secret
 r_i with the deterministic expander, reads the fresh response r_{i+1} from
 its PUF, and sends it masked (XOR r_i) together with a memory hash and a
-fresh nonce, all MAC'd under r_i. The verifier authenticates,
-unmasks r_{i+1}, and proves knowledge of it by MACing the derived
-challenge back. Both parties then roll over to r_{i+1}; the verifier keeps
-the previous secret for one epoch so a lost confirmation cannot strand the
-device.
+fresh nonce, all MAC'd under r_i. The verifier authenticates, checks the
+memory hash against that of the expected image, unmasks r_{i+1}, and
+proves knowledge of it by MACing the derived challenge back. Both parties
+then roll over to r_{i+1}; the verifier keeps the previous secret for one
+epoch so a lost confirmation cannot strand the device.
 
 Wire format (both messages): type(1) || session_be4 || length-prefixed
 fields in declaration order (2-byte lengths) || HMAC-SHA256(32).
@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from ..errors import (AuthenticationError, FormatError, ProtocolStateError,
-                      ReplayError, ValidationError)
+                      ReplayError)
 from ..puf import Challenge, PufInstance, stabilized_response
 from ..xof import expand
 
@@ -35,6 +35,7 @@ MSG_VERIFIER_CONFIRM = 0x03
 MAC_BYTES = 32
 NONCE_BYTES = 16
 CHALLENGE_LABEL = "auth-next-challenge"
+ENROLL_LABEL = "provisioning"
 
 
 def derive_next_challenge(secret: bytes, length: int) -> Challenge:
@@ -135,8 +136,8 @@ class DeviceSession:
     """Device-side state machine. Single-owner, strictly sequential."""
 
     def __init__(self, puf: PufInstance, initial_secret: bytes,
-                 memory_image: bytes = b"",
-                 nonce_rng: Optional[np.random.Generator] = None,
+                 memory_image: bytes = b"", *,
+                 nonce_rng: np.random.Generator,
                  noise_rng: Optional[np.random.Generator] = None,
                  stabilize_votes: int = 9):
         self.puf = puf
@@ -150,11 +151,6 @@ class DeviceSession:
         self._pending_secret: Optional[bytes] = None
         self._pending_challenge: Optional[Challenge] = None
 
-    def _fresh_nonce(self) -> bytes:
-        if self._nonce_rng is None:
-            raise ValidationError("device session needs a nonce rng")
-        return self._nonce_rng.bytes(NONCE_BYTES)
-
     def respond(self, request: AuthRequest) -> AuthMessage1:
         if self.status != "stable":
             raise ProtocolStateError("respond() requires a stable session")
@@ -166,7 +162,7 @@ class DeviceSession:
             session=self.counter,
             masked=masked,
             mem_hash=hashlib.sha256(self.memory_image).digest(),
-            nonce=self._fresh_nonce(),
+            nonce=self._nonce_rng.bytes(NONCE_BYTES),
             mac=b"",
         )
         msg = replace(msg, mac=_mac(self.secret, msg.signed_payload()))
@@ -203,10 +199,12 @@ class VerifierSession:
 
     Storage is constant in the number of sessions: the current secret, at
     most one previous secret, and the nonce windows for those two epochs.
+    A device message is accepted only if its memory hash equals
+    ``golden_memory_hash``, the SHA-256 of the expected memory image.
     """
 
-    def __init__(self, initial_secret: bytes, challenge_len: int = 64,
-                 golden_memory_hash: Optional[bytes] = None):
+    def __init__(self, initial_secret: bytes, challenge_len: int = 64, *,
+                 golden_memory_hash: bytes):
         self.secret = initial_secret
         self.previous: Optional[bytes] = None
         self.challenge_len = challenge_len
@@ -231,8 +229,7 @@ class VerifierSession:
         window = self._seen_nonces.setdefault(key, set())
         if msg1.nonce in window:
             raise ReplayError("nonce already seen in this epoch")
-        if (self.golden_memory_hash is not None
-                and msg1.mem_hash != self.golden_memory_hash):
+        if msg1.mem_hash != self.golden_memory_hash:
             raise AuthenticationError("memory hash does not match golden image")
         window.add(msg1.nonce)
 
@@ -250,10 +247,10 @@ class VerifierSession:
         return AuthMessage2(msg1.session, mac2)
 
 
-def enroll_secret(puf: PufInstance, label: str = "provisioning",
+def enroll_secret(puf: PufInstance,
                   noise_rng: Optional[np.random.Generator] = None,
                   votes: int = 9) -> bytes:
     """Manufacturing-time shared secret: response to a fixed enrollment
     challenge derived from the device seed."""
-    challenge = Challenge(puf.random_challenges(label, 1)[0])
+    challenge = Challenge(puf.random_challenges(ENROLL_LABEL, 1)[0])
     return stabilized_response(puf, challenge, noise_rng, votes).to_bytes()

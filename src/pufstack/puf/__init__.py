@@ -41,8 +41,9 @@ def create_puf(kind: str, device_seed: Union[bytes, int, str],
     """Build a device from a kind name, a 256-bit seed, and optional config.
 
     Recognized config keys (all optional): L, M and noise_sigma for every
-    kind; P, a, kerr and target_mean for photonic; replica_sigma for arbiter.
-    Values may be numbers or their text form, as read from a device file.
+    kind; P, a and kerr for photonic; replica_sigma for arbiter. Values may
+    be numbers or their text form, as read from a device file. Any other
+    key raises ValidationError.
     """
     cfg = dict(config or {})
     seed = coerce_seed(device_seed)
@@ -67,7 +68,6 @@ def create_puf(kind: str, device_seed: Union[bytes, int, str],
             detect_count=m,
             mem_decay=take("a", 0.6),
             kerr_coeff=take("kerr", 40.0),
-            target_mean=take("target_mean", 0.2),
         )
         puf: PufInstance = PhotonicPuf(seed, length, params, noise_sigma)
     elif kind == "arbiter":

@@ -8,7 +8,7 @@ from typing import Optional
 import numpy as np
 
 from ..errors import ChallengeShapeError, ValidationError
-from ..xof import bits_to_bytes, bytes_to_bits, derive_rng, expand_bits
+from ..xof import bits_to_bytes, bytes_to_bits, expand_bits
 
 SUPPORTED_CHALLENGE_LENGTHS = (32, 64, 128)
 
@@ -88,11 +88,6 @@ class Response:
 
     def to_bytes(self) -> bytes:
         return bits_to_bytes(self.bits)
-
-    def fractional_hd(self, other: "Response") -> float:
-        if len(self) != len(other):
-            raise ValidationError("responses must have equal length")
-        return float(np.mean(self.bits != other.bits))
 
 
 @dataclass(frozen=True)
@@ -186,10 +181,6 @@ class PufInstance:
             raise ValidationError("analog response values must be finite")
         bits = (analog >= self.thresholds).astype(np.uint8)
         return CrpBatch(challenges, bits, analog, np.abs(analog - self.thresholds))
-
-    def noise_rng(self, label: str = "noise") -> np.random.Generator:
-        """Convenience: a reproducible noise stream bound to this device."""
-        return derive_rng(self.device_seed, "env-" + label)
 
     def random_challenges(self, label: str, count: int) -> np.ndarray:
         """Deterministic uniform (count, L) challenges derived from the device seed."""

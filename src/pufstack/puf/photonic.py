@@ -72,6 +72,11 @@ KERR_BITS = 8                  # fractional table steps resolved by kerr_coeff
 NORM_BOUND = 1.0 + 2.0 ** -8   # checked upper bound on each stage operator norm
 EXACT_LIMIT = 2.0 ** 53        # float64 holds every integer below this exactly
 CALIB_SAMPLES = 256            # challenges used for creation-time calibration
+# Mean photocurrent after gain calibration. Not a parameter: the gain
+# scales the analog values and the median thresholds alike, so up to
+# rounding the bits depend only on noise_sigma / TARGET_MEAN, and margins
+# are in units of TARGET_MEAN.
+TARGET_MEAN = 0.2
 # Rows per _propagate call, fixed rather than a setting: a 6000-row batch
 # propagated about 1.5x faster in 512-row tiles than whole (512 to 1024
 # measured alike), and its (B, P) temporaries stay tile-sized.
@@ -88,7 +93,6 @@ class PhotonicParams:
     detect_count: int = 128     # photodiode taps M
     mem_decay: float = 0.6      # resonant state coefficient a, in [0, 1), see validate
     kerr_coeff: float = 40.0    # intensity-to-phase coefficient of the nonlinearity
-    target_mean: float = 0.2    # normalized mean photocurrent after gain calibration
 
     def validate(self):
         if self.n_paths < 2:
@@ -97,8 +101,6 @@ class PhotonicParams:
             raise ValidationError("detect_count M must be >= 1")
         if not 0.0 <= self.mem_decay < 1.0:
             raise ValidationError("mem_decay a must lie in [0, 1)")
-        if self.target_mean <= 0:
-            raise ValidationError("target_mean must be positive")
         if worst_intermediate(self) >= EXACT_LIMIT:
             raise ValidationError(
                 "n_paths, mem_decay and kerr_coeff let cascade intermediates "
@@ -357,7 +359,7 @@ class PhotonicPuf(PufInstance):
     def calibrate(self, n_samples: int) -> np.ndarray:
         """Set gain and per-tap thresholds from noiseless medians.
 
-        The gain normalizes the mean photocurrent to ``target_mean`` so the
+        The gain normalizes the mean photocurrent to ``TARGET_MEAN`` so the
         additive noise sigma is meaningful in normalized units; thresholds
         are per-tap medians, which forces balanced quantization.
 
@@ -372,7 +374,7 @@ class PhotonicPuf(PufInstance):
         raw = self._raw(self.random_challenges("calibration-challenges", n_samples))
         counts = (raw * _Q ** 2).astype(np.int64)
         total = (int(np.sum(counts >> 26)) << 26) + int(np.sum(counts & ((1 << 26) - 1)))
-        self.gain = (self.params.target_mean * raw.size
+        self.gain = (TARGET_MEAN * raw.size
                      / math.ldexp(float(total), -2 * GRID_BITS))
         self._thresholds = np.median(self.gain * raw, axis=0)
         return self._thresholds

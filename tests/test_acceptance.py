@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the summary
 lines; each test enforces its own runtime budget where one applies.
 """
 
+import hashlib
 import itertools
 import time
 
@@ -122,7 +123,8 @@ def _auth_pair(noise=0.02, tag="c4"):
     device = DeviceSession(puf, secret,
                            nonce_rng=derive_rng(SEED, tag + "-nonce"),
                            noise_rng=noise_rng)
-    return device, VerifierSession(secret, 64)
+    return device, VerifierSession(secret, 64,
+                                   golden_memory_hash=hashlib.sha256(b"").digest())
 
 
 def test_criterion_4_mutual_authentication():

@@ -17,16 +17,15 @@ from pufstack.xof import derive_rng
 MEMORY = b"firmware-image"
 
 
-def make_pair(noise_sigma=0.0, nonce_seed=b"\x02" * 32, golden_hash=True):
+def make_pair(noise_sigma=0.0, nonce_seed=b"\x02" * 32):
     puf = create_puf("photonic", 1, {"noise_sigma": noise_sigma})
-    noise = puf.noise_rng() if noise_sigma > 0 else None
+    noise = derive_rng(puf.device_seed, "env-noise") if noise_sigma > 0 else None
     secret = enroll_secret(puf, noise_rng=noise)
     device = DeviceSession(puf, secret, memory_image=MEMORY,
                            nonce_rng=derive_rng(nonce_seed, "test-nonce"),
                            noise_rng=noise)
-    verifier = VerifierSession(
-        secret, 64,
-        golden_memory_hash=hashlib.sha256(MEMORY).digest() if golden_hash else None)
+    verifier = VerifierSession(secret, 64,
+                               golden_memory_hash=hashlib.sha256(MEMORY).digest())
     return device, verifier
 
 
@@ -226,7 +225,8 @@ class TestInterleavings:
         for schedule in itertools.product(actions, repeat=4):
             device = DeviceSession(puf, secret, memory_image=MEMORY,
                                    nonce_rng=derive_rng(b"\x04" * 32, "sched"))
-            verifier = VerifierSession(secret, 64)
+            verifier = VerifierSession(
+                secret, 64, golden_memory_hash=hashlib.sha256(MEMORY).digest())
             stale1 = run_session(device, verifier)
             stale2 = verifier.check_device(device.respond(verifier.request()))
             device.abort()
@@ -251,9 +251,13 @@ class TestInterleavings:
 
 
 def test_device_requires_nonce_rng():
+    # a missing rng once failed only at the first respond()
     puf = create_puf("photonic", 1, {"noise_sigma": 0.0})
-    secret = enroll_secret(puf)
-    device = DeviceSession(puf, secret)
-    from pufstack.errors import ValidationError
-    with pytest.raises(ValidationError):
-        device.respond(AuthRequest(0))
+    with pytest.raises(TypeError, match="nonce_rng"):
+        DeviceSession(puf, enroll_secret(puf))
+
+
+def test_verifier_requires_golden_memory_hash():
+    # without one the verifier once skipped the memory check
+    with pytest.raises(TypeError, match="golden_memory_hash"):
+        VerifierSession(b"\x00" * 16, 64)

@@ -50,14 +50,6 @@ class TestGen:
         assert kv["kind"] == "arbiter"
         assert kv["L"] == "32"
 
-    @pytest.mark.parametrize("count", [0, -2])
-    def test_count_below_one_exits_2(self, tmp_path, capsys, count):
-        # a negative count once wrote only manifest.kv and exited 0
-        out = tmp_path / "devices"
-        assert run(["gen", "--count", count, "--out", out]) == 2
-        assert f"--count must be >= 1, got {count}" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_invalid_length_exits_2_and_names_parameter(self, tmp_path, capsys):
         cfg = tmp_path / "template.cfg"
         cfg.write_text("kind = photonic\nL = 48\n")
@@ -90,12 +82,12 @@ class TestMetrics:
         assert run(["metrics", tmp_path / "nope.cfg",
                     "--out", tmp_path / "m"]) == 4
 
-    # hand edits: malformed values, and the thermal keys that older
-    # versions wrote and the model no longer has
+    # hand edits: malformed values, and the thermal and gain-target keys
+    # that older versions wrote and the model no longer has
     @pytest.mark.parametrize("key, value", [
         ("seed", "zz" * 32), ("L", "sixty-four"), ("kerr", "nan"),
-        ("kappa", "0.01"), ("temperature_delta", "0.0")],
-        ids=["hex-seed", "L", "kerr", "kappa", "temperature_delta"])
+        ("kappa", "0.01"), ("temperature_delta", "0.0"), ("target_mean", "0.2")],
+        ids=["hex-seed", "L", "kerr", "kappa", "temperature_delta", "target_mean"])
     def test_edited_device_file_exits_2(self, tmp_path, capsys, key, value):
         paths = gen_devices(tmp_path, 2)
         kv = read_kv(paths[0])
@@ -147,14 +139,19 @@ class TestSweepFilter:
         assert repr(grid.split(",")[-1]) in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["metrics", "sweep-filter", "bench"])
-def test_negative_reevals_exits_2(tmp_path, capsys, command):
-    # metrics once exited 0 and silently left out reliability, far and frr
-    devices = gen_devices(tmp_path, 2) if command != "bench" else []
+@pytest.mark.parametrize("command, flag, value, low", [
+    ("gen", "--count", 0, 1), ("gen", "--count", -2, 1),
+    ("metrics", "--reevals", -3, 0), ("sweep-filter", "--reevals", -3, 0),
+    ("bench", "--reevals", -3, 0), ("bench", "--devices", 0, 2),
+    ("bench", "--devices", -1, 2)])
+def test_count_below_minimum_exits_2(tmp_path, capsys, command, flag, value, low):
+    # these once passed: gen --count -2 wrote only manifest.kv, metrics
+    # --reevals -3 left out reliability, far and frr, both exiting 0, and
+    # bench --devices -1 ended in an IndexError traceback
+    devices = gen_devices(tmp_path, 2) if command in ("metrics", "sweep-filter") else []
     out = tmp_path / "out"
-    assert run([command, *devices, "--reevals", -3, "--challenges", 2,
-                "--out", out]) == 2
-    assert "--reevals must be >= 0, got -3" in capsys.readouterr().err
+    assert run([command, *devices, flag, value, "--out", out]) == 2
+    assert f"{flag} must be >= {low}, got {value}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -226,9 +223,10 @@ class TestDemos:
         assert key in capsys.readouterr().err
 
     @pytest.mark.parametrize("line", ["puf_kind = arbiter", "challenge_len = 64",
-                                      "response_len = 128"])
+                                      "response_len = 128", "overhead_factor = 3.0"])
     def test_device_shape_scenario_key_exits_2(self, tmp_path, capsys, line):
-        # scenarios always run the default photonic device
+        # scenarios always run the default photonic device, and the relocate
+        # adversary's cost is a constant
         cfg = tmp_path / "scenario.cfg"
         cfg.write_text(line + "\n")
         assert run(["demo-auth", "--config", cfg, "--out", tmp_path / "o"]) == 2
@@ -320,10 +318,8 @@ class TestOutputsPinned:
         return sorted(out.glob("device_*.cfg"))
 
     def test_gen(self, devices):
-        texts = ["".join(line for line in path.read_text().splitlines(True)
-                         if not line.startswith("target_mean"))
-                 for path in devices]
-        assert [hashlib.sha256(t.encode()).hexdigest() for t in texts] == self.GEN
+        assert [_sha256(path) for path in devices] == self.GEN
+        assert "target_mean" not in devices[0].read_text()
 
     @pytest.mark.parametrize("argv, digests", [
         (["metrics", "--challenges", 4, "--reevals", 2, "--seed", 2],
@@ -347,38 +343,39 @@ class TestOutputsPinned:
         assert run([*argv, "--out", tmp_path]) == 0
         assert {name: _sha256(tmp_path / name) for name in digests} == digests
 
-    @pytest.mark.parametrize("command, config, adversary, scenario, trials", [
-        ("demo-auth", "adversary_p = 0.5", "passive",
+    AUTH = ["demo-auth", "--trials", 12, "--seed", 6]
+    ATTEST = ["demo-attest", "--trials", 3, "--seed", 7]
+
+    @pytest.mark.parametrize("argv, config, adversary, scenario, trials", [
+        (AUTH, "adversary_p = 0.5", "passive",
          "9a91cfb832c03b08889aa23052940183bd81e7bbab92f9796f7c714abeb6ea41",
          "bf08c1b0ee1b1ca69d8bad1e3b920564b1e3eca0a4d1f57708e23738803f1e59"),
-        ("demo-auth", "adversary_p = 0.5", "replay",
+        (AUTH, "adversary_p = 0.5", "replay",
          "fcfcb1df3d8de6ebfe8399a2d96af225e9859a4ea19f7178a55da92906c0f5d4",
          "bf08c1b0ee1b1ca69d8bad1e3b920564b1e3eca0a4d1f57708e23738803f1e59"),
-        ("demo-auth", "adversary_p = 0.5", "bitflip",
+        (AUTH, "adversary_p = 0.5", "bitflip",
          "b5f52cf367a466ae8fec6587a7932a228187438c760af0ef75066c1221a0c923",
          "17dd62c2c85119f359039b0c2b1767167e4da5a9e635dfc4a5524bfbdbd0ca42"),
-        ("demo-auth", "adversary_p = 0.5", "drop",
+        (AUTH, "adversary_p = 0.5", "drop",
          "72c71f1600960a0dfcd4875e4419054976efa7b7aa8eb7c588d847b5e725e695",
          "845272c1340924ae6c9b8f8542c3abf2f161cdcc1f216bf49d743df87af5ca92"),
-        ("demo-attest", "memory_bytes = 4096", "none",
+        (ATTEST, "memory_bytes = 4096", "none",
          "c8426a467c875b360c745972f5eb9345310b3454f33e7e494ef172aa259f245c",
          "be0be80a3997003fbbd5efb81d9461f137af8ad57586d5b455813903e44f96b4"),
-        ("demo-attest", "memory_bytes = 4096", "tamper",
+        (ATTEST, "memory_bytes = 4096", "tamper",
          "0628006dd1481dac9fd71c669076b6e63c03ede5562e4fef2c2eca1b526163fc",
          "1cb54da360f7a81470f466789a36e09ada09ab61f2df4af8a95bd83ccfd63b88"),
-        ("demo-attest", "memory_bytes = 4096", "relocate",
+        (ATTEST, "memory_bytes = 4096", "relocate",
          "e78d8f618e3c7ece88abda844c5319fe49be7a7db311baf7cefcbef9a2840b6a",
          "e1ea82412e14318794e57e8f58308661d60f2b0fed15e74130732c3961d57620"),
     ], ids=["auth-passive", "auth-replay", "auth-bitflip", "auth-drop",
             "attest-none", "attest-tamper", "attest-relocate"])
-    def test_scenarios(self, tmp_path, command, config, adversary, scenario, trials):
+    def test_scenarios(self, tmp_path, argv, config, adversary, scenario, trials):
         cfg = tmp_path / "scenario.cfg"
         cfg.write_text(config + "\n")
         out = tmp_path / "out"
-        count = 12 if command == "demo-auth" else 3
-        seed = 6 if command == "demo-auth" else 7
-        assert run([command, "--adversary", adversary, "--trials", count,
-                    "--seed", seed, "--config", cfg, "--out", out]) == 0
+        assert run([*argv, "--adversary", adversary, "--config", cfg,
+                    "--out", out]) == 0
         assert [_sha256(out / "scenario.kv"), _sha256(out / "trials.csv")] == [scenario, trials]
 
 

@@ -16,7 +16,7 @@ from pufstack.protocols.attest import _response_to_challenge
 from pufstack.protocols.auth import derive_next_challenge, enroll_secret
 from pufstack.puf import (Challenge, PhotonicParams, PhotonicPuf, create_puf,
                           parity_features, stabilized_response)
-from pufstack.puf.photonic import cascade_bounds, phase_table
+from pufstack.puf.photonic import TARGET_MEAN, cascade_bounds, phase_table
 from pufstack.xof import derive_rng
 
 
@@ -71,7 +71,7 @@ class TestCreation:
             a = photonic(seed=1000 + 2 * pair)
             b = photonic(seed=1001 + 2 * pair)
             for c in chals:
-                hds.append(a.evaluate(c).fractional_hd(b.evaluate(c)))
+                hds.append(np.mean(a.evaluate(c).bits != b.evaluate(c).bits))
         assert 0.45 < np.mean(hds) < 0.55
 
     def test_arbiter_weights_reproducible_from_seed(self):
@@ -122,10 +122,10 @@ class TestEvaluate:
     def test_raw_bit_error_rate_in_band(self):
         # regression bound: 2-8% intra-device BER at default noise
         puf = photonic(seed=3)
-        nd = puf.noise_rng()
+        nd = derive_rng(puf.device_seed, "env-noise")
         c = rand_challenges(1)[0]
-        ref = puf.evaluate(c)
-        bers = [puf.evaluate(c, nd).fractional_hd(ref) for _ in range(100)]
+        ref = puf.evaluate(c).bits
+        bers = [np.mean(puf.evaluate(c, nd).bits != ref) for _ in range(100)]
         assert 0.02 <= np.mean(bers) <= 0.08
 
     def test_arbiter_all_zero_challenge_is_weight_sum_sign(self):
@@ -229,11 +229,11 @@ class TestInvariants:
         rng = np.random.default_rng(5)
         fracs = []
         for c in rand_challenges(10):
-            ref = puf.evaluate(c)
+            ref = puf.evaluate(c).bits
             pos = int(rng.integers(0, 64))
             bits = c.bits.copy()
             bits[pos] ^= 1
-            fracs.append(puf.evaluate(Challenge(bits)).fractional_hd(ref))
+            fracs.append(np.mean(puf.evaluate(Challenge(bits)).bits != ref))
         assert np.mean(fracs) >= 0.3
 
     def test_arbiter_linearly_separable(self):
@@ -260,13 +260,13 @@ class TestInvariants:
         # expected ratio is about 0.3; 60 challenges keep the spread of a
         # single noisy read well inside the 0.5 margin
         puf = photonic(seed=47)
-        nd = puf.noise_rng()
+        nd = derive_rng(puf.device_seed, "env-noise")
         chals = rand_challenges(60)
         raw, stab = [], []
         for c in chals:
-            ref = puf.evaluate(c)
-            raw.append(puf.evaluate(c, nd).fractional_hd(ref))
-            stab.append(stabilized_response(puf, c, nd, votes=15).fractional_hd(ref))
+            ref = puf.evaluate(c).bits
+            raw.append(np.mean(puf.evaluate(c, nd).bits != ref))
+            stab.append(np.mean(stabilized_response(puf, c, nd, votes=15).bits != ref))
         assert np.mean(stab) < 0.5 * np.mean(raw)
 
     @pytest.mark.parametrize("votes", [1, 3, 9])
@@ -299,7 +299,8 @@ class TestInvariants:
             rows.append(len(bits_matrix))
             return propagate(self, bits_matrix)
         monkeypatch.setattr(PhotonicPuf, "evaluate_analog", counting)
-        stabilized_response(pufs[0], rand_challenges(1)[0], pufs[0].noise_rng(), votes=9)
+        stabilized_response(pufs[0], rand_challenges(1)[0],
+                            derive_rng(pufs[0].device_seed, "env-noise"), votes=9)
         assert sum(rows) == 1
         rows.clear()
         population_responses(pufs, rand_challenges(5, seed=14), n_reevals=4,
@@ -612,7 +613,7 @@ def test_gain_is_correctly_rounded_mean(seed, zero_tap):
         puf.detect[zero_tap, :] = 0
     puf.calibrate(700)
     raw = puf.raw_intensities(puf.random_challenges("calibration-challenges", 700))
-    assert puf.gain == puf.params.target_mean * raw.size / math.fsum(raw.ravel())
+    assert puf.gain == TARGET_MEAN * raw.size / math.fsum(raw.ravel())
 
 
 # -- platform independence -------------------------------------------------
