@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from ..errors import (AuthenticationError, FormatError, ProtocolStateError,
@@ -44,6 +44,12 @@ class ScenarioConfig:
         for key in ("memory_bytes", "chunk_bytes"):
             if getattr(self, key) < 1:
                 raise ValidationError(f"{key} must be >= 1")
+        if self.noise_sigma < 0:
+            raise ValidationError("noise_sigma must be >= 0")
+        if not 0 <= self.adversary_p <= 1:
+            raise ValidationError("adversary_p must lie in [0, 1]")
+        if self.budget_factor <= 0:
+            raise ValidationError("budget_factor must be > 0")
         modes = MODES if self.protocol == "auth" else ATTEST_ADVERSARIES
         if self.adversary not in modes:
             raise ValidationError(f"{self.protocol} adversary must be one of {modes}, "
@@ -235,7 +241,6 @@ def _run_attest(config: ScenarioConfig) -> ScenarioReport:
             timestamp=trial + 1,
             challenge=Challenge.random(chal_rng, puf.challenge_len))
         device_memory = memory
-        overhead = 1.0
         adversarial = config.adversary != "none"
         if config.adversary == "tamper":
             pos = int(tamper_rng.integers(0, len(memory)))
@@ -243,13 +248,11 @@ def _run_attest(config: ScenarioConfig) -> ScenarioReport:
             tampered[pos] ^= 0xFF
             device_memory = bytes(tampered)
             adv_attempts += 1
-        elif config.adversary == "relocate":
-            overhead = RELOCATE_OVERHEAD
-            adv_attempts += 1
-
         report = device_attest(request, device_memory, puf,
-                               chunk_size=config.chunk_bytes,
-                               per_chunk_overhead=overhead)
+                               chunk_size=config.chunk_bytes)
+        if config.adversary == "relocate":
+            report = replace(report, elapsed=round(RELOCATE_OVERHEAD * report.elapsed))
+            adv_attempts += 1
         verdict = verifier_attest_check(request, report, memory, puf, budget,
                                         chunk_size=config.chunk_bytes)
         if verdict.accepted:

@@ -7,9 +7,10 @@ the response to the previous response (width-adapted), so the final hash
 depends on every chunk, every response, and the timestamp. The verifier,
 holding the golden memory and a noiseless model of the device, recomputes
 h_n and enforces a time budget that a memory-relocating adversary cannot
-meet.
+meet. The report does not echo the timestamp: h_n depends on it, and the
+verifier recomputes h_n from the request it holds.
 
-Report wire format: type(1) || timestamp_be8 || h_n(32) || elapsed_be8.
+Report wire format: type(1) || h_n(32) || elapsed_be8.
 """
 
 from __future__ import annotations
@@ -45,21 +46,18 @@ class AttestationRequest:
 
 @dataclass(frozen=True)
 class AttestationReport:
-    timestamp: int
     final_hash: bytes
     elapsed: int
 
     def to_bytes(self) -> bytes:
-        return struct.pack(">BQ", MSG_ATTESTATION_REPORT, self.timestamp) \
-            + self.final_hash + struct.pack(">Q", self.elapsed)
+        return bytes([MSG_ATTESTATION_REPORT]) + self.final_hash \
+            + struct.pack(">Q", self.elapsed)
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "AttestationReport":
-        if len(raw) != 1 + 8 + 32 + 8 or raw[0] != MSG_ATTESTATION_REPORT:
+        if len(raw) != 1 + 32 + 8 or raw[0] != MSG_ATTESTATION_REPORT:
             raise FormatError("malformed attestation report")
-        timestamp = struct.unpack(">Q", raw[1:9])[0]
-        elapsed = struct.unpack(">Q", raw[41:49])[0]
-        return cls(timestamp, raw[9:41], elapsed)
+        return cls(raw[1:33], struct.unpack(">Q", raw[33:])[0])
 
 
 def memory_chunks(memory: bytes, chunk_size: int = DEFAULT_CHUNK_BYTES) -> list[bytes]:
@@ -118,15 +116,12 @@ def honest_elapsed(n_chunks: int, challenge_len: int) -> int:
 
 
 def device_attest(request: AttestationRequest, memory: bytes, puf: PufInstance,
-                  chunk_size: int = DEFAULT_CHUNK_BYTES,
-                  per_chunk_overhead: float = 1.0) -> AttestationReport:
-    """Run the attestation walk. ``per_chunk_overhead`` > 1 models an
-    adversary paying extra latency per chunk (e.g. relocating memory)."""
+                  chunk_size: int = DEFAULT_CHUNK_BYTES) -> AttestationReport:
+    """Run the attestation walk on an honest device, which reports the
+    modelled time ``honest_elapsed`` of its walk."""
     final = _final_hash(request, memory, puf, chunk_size)
     n_chunks = -(-len(memory) // chunk_size)
-    elapsed = int(round(per_chunk_overhead
-                        * honest_elapsed(n_chunks, puf.challenge_len)))
-    return AttestationReport(request.timestamp, final, elapsed)
+    return AttestationReport(final, honest_elapsed(n_chunks, puf.challenge_len))
 
 
 @dataclass(frozen=True)

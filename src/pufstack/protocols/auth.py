@@ -9,8 +9,10 @@ proves knowledge of it by MACing the derived challenge back. Both parties
 then roll over to r_{i+1}; the verifier keeps the previous secret for one
 epoch so a lost confirmation cannot strand the device.
 
-Wire format (both messages): type(1) || session_be4 || length-prefixed
-fields in declaration order (2-byte lengths) || HMAC-SHA256(32).
+Wire format: the request is type(1); both replies are type(1) ||
+length-prefixed fields in declaration order (2-byte lengths) ||
+HMAC-SHA256(32). No message carries a session number: each MAC key belongs
+to one epoch, so each party's ``counter`` stays local.
 """
 
 from __future__ import annotations
@@ -48,19 +50,17 @@ def _mac(key: bytes, payload: bytes) -> bytes:
     return hmac.new(key, payload, hashlib.sha256).digest()
 
 
-def _frame_fields(msg_type: int, session: int, fields: list[bytes]) -> bytes:
-    head = struct.pack(">BI", msg_type, session)
-    body = b"".join(struct.pack(">H", len(f)) + f for f in fields)
-    return head + body
+def _frame_fields(msg_type: int, fields: list[bytes]) -> bytes:
+    return bytes([msg_type]) + b"".join(struct.pack(">H", len(f)) + f
+                                        for f in fields)
 
 
 def _parse_fields(raw: bytes, expected_type: int, n_fields: int):
-    if len(raw) < 5 + MAC_BYTES:
+    if len(raw) < 1 + MAC_BYTES:
         raise FormatError("message too short")
-    msg_type, session = struct.unpack(">BI", raw[:5])
-    if msg_type != expected_type:
-        raise FormatError(f"unexpected message type {msg_type:#x}")
-    body, mac = raw[5:-MAC_BYTES], raw[-MAC_BYTES:]
+    if raw[0] != expected_type:
+        raise FormatError(f"unexpected message type {raw[0]:#x}")
+    body, mac = raw[1:-MAC_BYTES], raw[-MAC_BYTES:]
     fields = []
     offset = 0
     for _ in range(n_fields):
@@ -74,33 +74,30 @@ def _parse_fields(raw: bytes, expected_type: int, n_fields: int):
         offset += n
     if offset != len(body):
         raise FormatError("trailing bytes in field block")
-    return session, fields, mac
+    return fields, mac
 
 
 @dataclass(frozen=True)
 class AuthRequest:
-    session: int
-
     def to_bytes(self) -> bytes:
-        return struct.pack(">BI", MSG_AUTH_REQUEST, self.session)
+        return bytes([MSG_AUTH_REQUEST])
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "AuthRequest":
-        if len(raw) != 5 or raw[0] != MSG_AUTH_REQUEST:
+        if raw != bytes([MSG_AUTH_REQUEST]):
             raise FormatError("malformed auth request")
-        return cls(struct.unpack(">BI", raw)[1])
+        return cls()
 
 
 @dataclass(frozen=True)
 class AuthMessage1:
-    session: int
     masked: bytes       # r_{i+1} XOR r_i
     mem_hash: bytes     # H: SHA-256 of the device memory image
     nonce: bytes        # N: freshness
     mac: bytes
 
     def signed_payload(self) -> bytes:
-        return _frame_fields(MSG_DEVICE_RESPONSE, self.session,
+        return _frame_fields(MSG_DEVICE_RESPONSE,
                              [self.masked, self.mem_hash, self.nonce])
 
     def to_bytes(self) -> bytes:
@@ -108,28 +105,27 @@ class AuthMessage1:
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "AuthMessage1":
-        session, fields, mac = _parse_fields(raw, MSG_DEVICE_RESPONSE, 3)
+        fields, mac = _parse_fields(raw, MSG_DEVICE_RESPONSE, 3)
         if len(fields[1]) != 32:
             raise FormatError("auth message mem_hash must be 32 bytes")
-        return cls(session, *fields, mac)
+        return cls(*fields, mac)
 
 
 @dataclass(frozen=True)
 class AuthMessage2:
-    session: int
     mac: bytes  # MAC(c_{i+1}, r_{i+1})
 
     def to_bytes(self) -> bytes:
-        return _frame_fields(MSG_VERIFIER_CONFIRM, self.session, []) + self.mac
+        return _frame_fields(MSG_VERIFIER_CONFIRM, []) + self.mac
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "AuthMessage2":
-        session, _, mac = _parse_fields(raw, MSG_VERIFIER_CONFIRM, 0)
-        return cls(session, mac)
+        _, mac = _parse_fields(raw, MSG_VERIFIER_CONFIRM, 0)
+        return cls(mac)
 
 
-def _confirm_payload(session: int, challenge: Challenge) -> bytes:
-    return _frame_fields(MSG_VERIFIER_CONFIRM, session, [challenge.to_bytes()])
+def _confirm_payload(challenge: Challenge) -> bytes:
+    return _frame_fields(MSG_VERIFIER_CONFIRM, [challenge.to_bytes()])
 
 
 class DeviceSession:
@@ -159,7 +155,6 @@ class DeviceSession:
                                     self._votes).to_bytes()
         masked = bytes(a ^ b for a, b in zip(fresh, self.secret))
         msg = AuthMessage1(
-            session=self.counter,
             masked=masked,
             mem_hash=hashlib.sha256(self.memory_image).digest(),
             nonce=self._nonce_rng.bytes(NONCE_BYTES),
@@ -175,7 +170,7 @@ class DeviceSession:
         if self.status != "pending_verifier":
             raise ProtocolStateError("confirm() requires a pending session")
         expected = _mac(self._pending_secret,
-                        _confirm_payload(msg2.session, self._pending_challenge))
+                        _confirm_payload(self._pending_challenge))
         if not hmac.compare_digest(expected, msg2.mac):
             self._pending_secret = None
             self._pending_challenge = None
@@ -213,7 +208,7 @@ class VerifierSession:
         self._seen_nonces: dict[bytes, set[bytes]] = {initial_secret: set()}
 
     def request(self) -> AuthRequest:
-        return AuthRequest(self.counter)
+        return AuthRequest()
 
     def _match_epoch(self, msg1: AuthMessage1) -> Optional[bytes]:
         payload = msg1.signed_payload()
@@ -235,7 +230,7 @@ class VerifierSession:
 
         fresh = bytes(a ^ b for a, b in zip(msg1.masked, key))
         challenge = derive_next_challenge(key, self.challenge_len)
-        mac2 = _mac(fresh, _confirm_payload(msg1.session, challenge))
+        mac2 = _mac(fresh, _confirm_payload(challenge))
 
         # commit: matched epoch becomes "previous", fresh secret current
         self.previous = key
@@ -244,7 +239,7 @@ class VerifierSession:
         self._seen_nonces = {k: v for k, v in self._seen_nonces.items()
                              if k in (self.secret, self.previous)}
         self._seen_nonces.setdefault(self.secret, set())
-        return AuthMessage2(msg1.session, mac2)
+        return AuthMessage2(mac2)
 
 
 def enroll_secret(puf: PufInstance,

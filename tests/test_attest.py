@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -132,8 +133,8 @@ class TestDeviceVerifier:
         puf = make_puf()
         req = make_request()
         budget = int(1.2 * honest_elapsed(4, 64))
-        report = device_attest(req, MEMORY, puf, chunk_size=512,
-                               per_chunk_overhead=1.5)
+        report = device_attest(req, MEMORY, puf, chunk_size=512)
+        report = replace(report, elapsed=round(1.5 * report.elapsed))
         verdict = verifier_attest_check(req, report, MEMORY, puf, budget,
                                         chunk_size=512)
         assert not verdict.accepted
@@ -159,18 +160,19 @@ class TestDeviceVerifier:
 
 class TestReportWire:
     def test_roundtrip(self):
-        report = AttestationReport(42, hashlib.sha256(b"x").digest(), 308)
+        report = AttestationReport(hashlib.sha256(b"x").digest(), 308)
         raw = report.to_bytes()
-        assert len(raw) == 49
+        assert len(raw) == 41
         assert AttestationReport.from_bytes(raw) == report
 
     def test_malformed_rejected(self):
-        report = AttestationReport(1, hashlib.sha256(b"x").digest(), 10)
+        report = AttestationReport(hashlib.sha256(b"x").digest(), 10)
         raw = report.to_bytes()
-        with pytest.raises(FormatError):
-            AttestationReport.from_bytes(raw[:-1])
-        with pytest.raises(FormatError):
-            AttestationReport.from_bytes(b"\x09" + raw[1:])
+        # the old 49-byte layout echoed an 8-byte timestamp after the type
+        old = raw[:1] + (42).to_bytes(8, "big") + raw[1:]
+        for bad in (raw[:-1], b"\x09" + raw[1:], old):
+            with pytest.raises(FormatError):
+                AttestationReport.from_bytes(bad)
 
     def test_timestamp_range(self):
         with pytest.raises(ValidationError):

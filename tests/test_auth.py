@@ -54,9 +54,9 @@ class TestGoldenVectors:
         device, verifier = make_pair()
         msg1 = device.respond(verifier.request())
         wire = msg1.to_bytes()
-        assert len(wire) == 107
+        assert len(wire) == 103
         assert hashlib.sha256(wire).hexdigest() == (
-            "1b757fea4dc4b0f86b3c5268db1d26e2ce9eb338a4b6e61d9dc4a3097d00387e")
+            "d1cef5c87a0e4fc135ff092f494ac7d80a6dd4ef79852a4b5f7b0bdfeaab3805")
         assert msg1.masked.hex() == "c83c0f8c413d7d78421f0a49f2957eb1"
 
     def test_old_layout_with_clock_count_rejected(self):
@@ -64,7 +64,7 @@ class TestGoldenVectors:
         # earlier versions sent, correctly MAC'd, no longer parses
         device, verifier = make_pair()
         msg1 = device.respond(verifier.request())
-        payload = _frame_fields(MSG_DEVICE_RESPONSE, msg1.session,
+        payload = _frame_fields(MSG_DEVICE_RESPONSE,
                                 [msg1.masked, msg1.mem_hash,
                                  struct.pack(">Q", 1000), msg1.nonce])
         with pytest.raises(FormatError):
@@ -123,10 +123,13 @@ class TestWireFormat:
         assert AuthMessage2.from_bytes(msg2.to_bytes()) == msg2
 
     def test_request_roundtrip(self):
-        req = AuthRequest(7)
+        req = AuthRequest()
+        assert req.to_bytes() == b"\x01"
         assert AuthRequest.from_bytes(req.to_bytes()) == req
-        with pytest.raises(FormatError):
-            AuthRequest.from_bytes(b"\x09\x00\x00\x00\x07")
+        # a wrong type, and the old layout with a 4-byte session number
+        for raw in (b"\x09", b"\x01\x00\x00\x00\x07"):
+            with pytest.raises(FormatError):
+                AuthRequest.from_bytes(raw)
 
     def test_truncation_rejected(self):
         device, verifier = make_pair()
@@ -186,7 +189,7 @@ class TestAdversary:
         device, verifier = make_pair()
         device.respond(verifier.request())
         with pytest.raises(AuthenticationError):
-            device.confirm(AuthMessage2(0, b"\x00" * 32))
+            device.confirm(AuthMessage2(b"\x00" * 32))
         assert device.status == "stable"  # pending state dropped
 
 

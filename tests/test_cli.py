@@ -232,6 +232,17 @@ class TestDemos:
         assert run(["demo-auth", "--config", cfg, "--out", tmp_path / "o"]) == 2
         assert line.split()[0] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["noise_sigma = -3", "adversary_p = 7",
+                                      "budget_factor = -1"])
+    def test_out_of_range_scenario_value_exits_2(self, tmp_path, capsys, line):
+        # every protocol checks these ranges, also where it does not use
+        # the value: demo-attest once exited 0 on the first two and 3 on
+        # the third
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(line + "\n")
+        assert run(["demo-attest", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        assert line.split()[0] in capsys.readouterr().err
+
     @pytest.mark.parametrize("key", ["chunk_bytes", "memory_bytes"])
     def test_empty_attest_size_exits_2(self, tmp_path, capsys, key):
         cfg = tmp_path / "scenario.cfg"
@@ -354,8 +365,8 @@ class TestOutputsPinned:
          "fcfcb1df3d8de6ebfe8399a2d96af225e9859a4ea19f7178a55da92906c0f5d4",
          "bf08c1b0ee1b1ca69d8bad1e3b920564b1e3eca0a4d1f57708e23738803f1e59"),
         (AUTH, "adversary_p = 0.5", "bitflip",
-         "b5f52cf367a466ae8fec6587a7932a228187438c760af0ef75066c1221a0c923",
-         "17dd62c2c85119f359039b0c2b1767167e4da5a9e635dfc4a5524bfbdbd0ca42"),
+         "0b061453cb47cfada4e88621825beee6e9da81427df1e6d7a4f6b718d0caa9a4",
+         "809f8463af7a21a281e291c48ffbd0e665141c087f61ea01d4120ed42ce93c97"),
         (AUTH, "adversary_p = 0.5", "drop",
          "72c71f1600960a0dfcd4875e4419054976efa7b7aa8eb7c588d847b5e725e695",
          "845272c1340924ae6c9b8f8542c3abf2f161cdcc1f216bf49d743df87af5ca92"),

@@ -286,6 +286,15 @@ class TestScenarios:
         assert report.adversary_successes == 0
         assert report.accepts == 0
 
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_bitflip_scenario_succeeds_never(self, seed):
+        # every flipped message is rejected, so no session that the
+        # adversary touched is accepted; a flip in the request's session
+        # number once went through and counted as a success
+        report = run_scenario(ScenarioConfig(adversary="bitflip", adversary_p=0.5,
+                                             trials=40, run_seed=seed))
+        assert report.adversary_successes == 0
+
     def test_attest_honest_and_tamper(self):
         honest = run_scenario(ScenarioConfig(protocol="attest", adversary="none",
                                              trials=5, memory_bytes=4096))

@@ -49,7 +49,7 @@ def test_protocols_call_the_wrapped_names(tracer):
     memory = b"image" * 100                 # 4 chunks of 128 bytes
 
     root = tracer.begin(0, "bench.op")
-    device.respond(auth.AuthRequest(0))
+    device.respond(auth.AuthRequest())
     report = attest.device_attest(request, memory, puf, chunk_size=128)
     attest.verifier_attest_check(request, report, memory, puf, 10 ** 6,
                                  chunk_size=128)
