@@ -42,6 +42,10 @@ gives the same bits on every machine, BLAS build and memory layout.
 
   with |y_t|^2 and floor(.) in units of q. Detection reads
   raw = |floor(D s_L)|^2 per tap.
+* Prefix table. m_k depends only on c_1..c_k, so fabrication, before
+  calibration, tabulates m_k for all 2^k prefixes of k = ``PREFIX_BITS``
+  bits, and a read starts the cascade there. The table holds the values
+  the cascade above forms, so the documented definition is unchanged.
 
 The arrays hold integers (or multiples of q) far below 2^53, so every product
 and every partial sum of a matmul is exact in float64 whatever the summation
@@ -81,10 +85,16 @@ TARGET_MEAN = 0.2
 # propagated about 1.5x faster in 512-row tiles than whole (512 to 1024
 # measured alike), and its (B, P) temporaries stay tile-sized.
 PROPAGATE_TILE = 512
+# Leading challenge bits whose memory state m_k is tabulated at fabrication,
+# for all 2^PREFIX_BITS prefixes: 128 KB at P = 32. Each further bit doubles
+# the table and its build: 12 slowed fabrication by 4-7 ms, and 10 would save
+# 2 more of 56 stages, a gain within the measured noise.
+PREFIX_BITS = 8
 
 _Q = 1 << GRID_BITS
 _GRID = 2.0 ** -GRID_BITS
 _N = 1 << TABLE_BITS
+_PREFIX_WEIGHTS = 1 << np.arange(PREFIX_BITS - 1, -1, -1)
 
 
 @dataclass
@@ -296,33 +306,75 @@ class PhotonicPuf(PufInstance):
         self.detect = (_truncated_unit(det.ravel(), np.sum(det * det)).reshape(det.shape)
                        * _GRID).view(np.complex128)
 
+        self.prefix_states = self._prefix_table()
         self.gain = 1.0
         self._thresholds = np.zeros(params.detect_count)
         self.calibrate(CALIB_SAMPLES)
 
     # -- propagation ------------------------------------------------------
 
-    def _propagate(self, bits_matrix: np.ndarray, trace: bool = False) -> np.ndarray:
-        """Run the stage cascade and detect: the raw intensities of s_L
-        (B, M) in counts of q^2, or with ``trace`` those of every s_t
-        (B, L, M). ``bits_matrix`` must already be a validated (B, L)
-        matrix of 0/1."""
+    def _stage_body(self):
+        """The cascade stage, with this device's constants bound.
+
+        ``stage(t, bits, mem, detect, remember)`` runs stage t on a batch:
+        ``bits`` holds each row's c_t, ``mem`` its m_{t-1}. It returns the
+        raw intensities of s_t if ``detect`` and m_t if ``remember``, each
+        else None.
+        """
         unit = _rotations(_Q)
         memory = _rotations(self.params.memory_steps())
         kerr = self.params.kerr_steps() * 2.0 ** -(POWER_BITS + KERR_BITS)
         level = 2.0 ** (POWER_BITS - 2 * GRID_BITS)
         inject = self.inject * _Q
-        order = np.ascontiguousarray(bits_matrix.T, dtype=np.intp)
-        mem = 0.0
-        stages = []
-        for t in range(self.challenge_len):
-            y = _floor((inject.take(order[t], axis=0) + mem) @ self.scatter[t])
+
+        def stage(t, bits, mem, detect, remember):
+            y = _floor((inject.take(bits, axis=0) + mem) @ self.scatter[t])
             power = np.floor(_power(y) * level)
             steps = np.floor(power * kerr).astype(np.intp)
-            if trace or t == self.challenge_len - 1:
-                s = _floor(y * unit.take(steps, mode="wrap"))
-                stages.append(_power(_floor(s @ self.detect.T)))
-            mem = _floor(y * memory.take(steps, mode="wrap"))
+            raw = (_power(_floor(_floor(y * unit.take(steps, mode="wrap")) @ self.detect.T))
+                   if detect else None)
+            return raw, _floor(y * memory.take(steps, mode="wrap")) if remember else None
+        return stage
+
+    def _prefix_table(self) -> np.ndarray:
+        """(2^PREFIX_BITS, P) read-only m_PREFIX_BITS, in counts of q, for
+        every challenge prefix; row i is the prefix whose bits, first bit
+        most significant, spell i.
+
+        Built as a tree: each stage extends every prefix by 0 and by 1, so
+        row 2i + c of the next level continues row i with bit c.
+        """
+        stage = self._stage_body()
+        mem = np.zeros((1, self.params.n_paths), dtype=np.complex128)
+        for t in range(PREFIX_BITS):
+            _, mem = stage(t, np.tile([0, 1], len(mem)), np.repeat(mem, 2, axis=0),
+                           False, True)
+        mem.flags.writeable = False
+        return mem
+
+    def _propagate(self, bits_matrix: np.ndarray, trace: bool = False) -> np.ndarray:
+        """Run the stage cascade and detect: the raw intensities of s_L
+        (B, M) in counts of q^2, or with ``trace`` those of every s_t
+        (B, L, M). ``bits_matrix`` must already be a validated (B, L)
+        matrix of 0/1.
+
+        Without ``trace`` the cascade starts from the tabulated
+        m_PREFIX_BITS and runs the remaining stages only; the last stage
+        forms s_L and no m_L.
+        """
+        stage = self._stage_body()
+        order = np.ascontiguousarray(bits_matrix.T, dtype=np.intp)
+        last = self.challenge_len - 1
+        if trace:
+            first, mem = 0, 0.0
+        else:
+            first = PREFIX_BITS
+            mem = self.prefix_states.take(_PREFIX_WEIGHTS @ order[:PREFIX_BITS], axis=0)
+        stages = []
+        for t in range(first, self.challenge_len):
+            raw, mem = stage(t, order[t], mem, trace or t == last, t < last)
+            if raw is not None:
+                stages.append(raw)
         return np.stack(stages, axis=1) if trace else stages[0]
 
     def _raw(self, bits_matrix: np.ndarray) -> np.ndarray:

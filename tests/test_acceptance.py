@@ -148,7 +148,7 @@ def test_criterion_4_mutual_authentication():
             forged = a  # straight replay
         else:
             b = harvested[int(adv_rng.integers(0, len(harvested)))]
-            cut = int(adv_rng.integers(5, len(a) - 32))
+            cut = int(adv_rng.integers(1, len(a) - 32))
             forged = a[:cut] + b[cut:]  # splice of two sessions
         try:
             verifier.check_device(AuthMessage1.from_bytes(forged))

@@ -14,9 +14,10 @@ from pufstack.errors import ChallengeShapeError, ValidationError
 from pufstack.metrics import population_responses
 from pufstack.protocols.attest import _response_to_challenge
 from pufstack.protocols.auth import derive_next_challenge, enroll_secret
-from pufstack.puf import (Challenge, PhotonicParams, PhotonicPuf, create_puf,
-                          parity_features, stabilized_response)
-from pufstack.puf.photonic import TARGET_MEAN, cascade_bounds, phase_table
+from pufstack.puf import (SUPPORTED_CHALLENGE_LENGTHS, Challenge, PhotonicParams,
+                          PhotonicPuf, create_puf, parity_features,
+                          stabilized_response)
+from pufstack.puf.photonic import PREFIX_BITS, TARGET_MEAN, cascade_bounds, phase_table
 from pufstack.xof import derive_rng
 
 
@@ -222,6 +223,36 @@ class TestInvariants:
             "fa3e54f2df9b00be2db8032442016e7c55f8dcfb604df846fb5e0af68d0b54e2"
         for row in (0, 511, 512, 1023, 1024, 1099):
             assert np.array_equal(raw[row], puf.raw_intensities(bits[row:row + 1])[0])
+
+    def test_prefix_table_shape(self):
+        assert PREFIX_BITS < min(SUPPORTED_CHALLENGE_LENGTHS)
+        for cfg in ({}, {"L": 32, "P": 8}):
+            puf = create_puf("photonic", 1, {**cfg, "noise_sigma": 0.0})
+            assert puf.prefix_states.shape == (2 ** PREFIX_BITS, puf.params.n_paths)
+            assert not puf.prefix_states.flags.writeable
+            with pytest.raises(ValueError):
+                puf.prefix_states[0, 0] = 1.0
+
+    @pytest.mark.parametrize("length", [32, 64, 128])
+    @pytest.mark.parametrize("paths", [8, 32])
+    def test_prefix_table_matches_full_cascade(self, length, paths):
+        # stage_trace runs every stage from m_0 = 0; raw_intensities starts
+        # from the tabulated m_PREFIX_BITS. Rows 0-3 and 511-512 hold the
+        # all-zero and all-one prefixes, whole or followed by random bits,
+        # on both sides of the 512-row tile boundary.
+        puf = create_puf("photonic", 9, {"L": length, "P": paths, "M": 16,
+                                         "noise_sigma": 0.0})
+        bits = puf.random_challenges("prefix-table", 513)
+        bits[[0, 511], :PREFIX_BITS] = 0
+        bits[[1, 512], :PREFIX_BITS] = 1
+        bits[2], bits[3] = 0, 1
+        checked = (0, 1, 2, 3, 255, 256, 510, 511, 512)
+        full = {row: puf.stage_trace(Challenge(bits[row]))[-1] for row in checked}
+        for batch in (1, 2, 257, 513):
+            raw = puf.raw_intensities(bits[:batch])
+            for row in checked:
+                if row < batch:
+                    assert np.array_equal(raw[row], full[row]), (batch, row)
 
     def test_avalanche_bound(self):
         # regression bound: one flipped challenge bit flips >= 0.3*M bits
@@ -665,6 +696,8 @@ def test_device_identity_is_platform_and_layout_independent():
     copy.scatter = np.swapaxes(np.ascontiguousarray(np.swapaxes(puf.scatter, 1, 2)), 1, 2)
     copy.inject = _strided(puf.inject)
     copy.detect = _strided(puf.detect)
+    # the prefix stages too, which a read takes from the fabrication table
+    copy.prefix_states = copy._prefix_table()
     assert not copy.scatter.flags.c_contiguous
     assert not (copy.inject.flags.c_contiguous or copy.detect.flags.c_contiguous)
     assert np.array_equal(copy.raw_intensities(bits), ref)
