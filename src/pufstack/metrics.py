@@ -171,8 +171,14 @@ def band_sweep(golden: np.ndarray, margins: np.ndarray,
     golden = _bit_array(golden, 2, "golden responses")
     if golden.size == 0:
         raise ValidationError("golden responses must be non-empty")
+    if np.shape(margins) != golden.shape:
+        raise ValidationError("margins must be (devices, bits) like the golden responses")
+    flips = None
     if reevals is not None:
         reevals = _bit_array(reevals, 3, "re-reads")
+        if len(reevals) == 0 or reevals.shape[1:] != golden.shape:
+            raise ValidationError("re-reads must be (repeats >= 1, devices, bits)")
+        flips = reevals != golden
     rows = []
     for band in bands:
         mask = band.contains(margins)
@@ -181,9 +187,8 @@ def band_sweep(golden: np.ndarray, margins: np.ndarray,
             rows.append(BandSweepRow(band, 0.0, None, None))
             continue
         reliability = None
-        if reevals is not None:
-            errs = (reevals != golden[None, :, :]) & mask[None, :, :]
-            reliability = float(1.0 - errs.sum() / (mask.sum() * reevals.shape[0]))
+        if flips is not None:
+            reliability = float(1.0 - (flips & mask).sum() / (mask.sum() * len(flips)))
         counts = mask.sum(axis=0)
         usable = counts >= 2
         entropy = None

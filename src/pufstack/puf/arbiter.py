@@ -20,10 +20,9 @@ def parity_features(bits_matrix: np.ndarray) -> np.ndarray:
     Feature i is the product of (1 - 2*b_j) for j >= i; the last feature is
     the constant 1 (bias term).
     """
-    bits = np.asarray(bits_matrix, dtype=np.int64)
-    signs = 1 - 2 * bits
-    feats = np.ones((bits.shape[0], bits.shape[1] + 1), dtype=np.float64)
-    feats[:, :-1] = np.cumprod(signs[:, ::-1], axis=1)[:, ::-1]
+    signs = 1 - 2 * np.asarray(bits_matrix, dtype=np.int8)
+    feats = np.ones((signs.shape[0], signs.shape[1] + 1), dtype=np.float64)
+    feats[:, :-1] = np.cumprod(signs[:, ::-1], axis=1, dtype=np.int8)[:, ::-1]
     return feats
 
 

@@ -180,7 +180,8 @@ class PufInstance:
         if not np.isfinite(analog).all():
             raise ValidationError("analog response values must be finite")
         bits = (analog >= self.thresholds).astype(np.uint8)
-        return CrpBatch(challenges, bits, analog, np.abs(analog - self.thresholds))
+        margins = analog - self.thresholds
+        return CrpBatch(challenges, bits, analog, np.abs(margins, out=margins))
 
     def random_challenges(self, label: str, count: int) -> np.ndarray:
         """Deterministic uniform (count, L) challenges derived from the device seed."""

@@ -378,17 +378,19 @@ class PhotonicPuf(PufInstance):
         return np.stack(stages, axis=1) if trace else stages[0]
 
     def _raw(self, bits_matrix: np.ndarray) -> np.ndarray:
-        """``raw_intensities`` of an already validated matrix.
+        """``raw_intensities`` of an already validated matrix, in a fresh
+        (B, M) array that the caller may scale in place.
 
-        A batch of more than ``PROPAGATE_TILE`` rows is propagated in
-        consecutive row tiles and concatenated. Each row propagates on its
-        own in exact integers, so tiling moves no value.
+        The rows are propagated in consecutive tiles of at most
+        ``PROPAGATE_TILE``, each written into its rows of the one result.
+        Each row propagates on its own in exact integers, so tiling moves
+        no value.
         """
-        rows = len(bits_matrix)
-        if rows > PROPAGATE_TILE:
-            return np.concatenate([self._raw(bits_matrix[i:i + PROPAGATE_TILE])
-                                   for i in range(0, rows, PROPAGATE_TILE)])
-        return self._propagate(bits_matrix) * _GRID ** 2
+        out = np.empty((len(bits_matrix), len(self.detect)))
+        for i in range(0, len(bits_matrix), PROPAGATE_TILE):
+            np.multiply(self._propagate(bits_matrix[i:i + PROPAGATE_TILE]), _GRID ** 2,
+                        out=out[i:i + PROPAGATE_TILE])
+        return out
 
     def raw_intensities(self, bits_matrix) -> np.ndarray:
         """Noiseless detected intensities in raw (pre-gain) units, (B, M)."""
@@ -400,7 +402,9 @@ class PhotonicPuf(PufInstance):
         return trace[0] * _GRID ** 2
 
     def evaluate_analog(self, bits_matrix: np.ndarray) -> np.ndarray:
-        return self.gain * self._raw(bits_matrix)
+        analog = self._raw(bits_matrix)
+        analog *= self.gain
+        return analog
 
     @property
     def thresholds(self) -> np.ndarray:

@@ -118,6 +118,16 @@ class TestHarvest:
             harvest_crps(create_puf("arbiter", 5), 0, np.random.default_rng(0))
 
 
+def _lstsq_newton(x, y):
+    """The Newton fit of one label column, each step a least-squares solve."""
+    w = np.zeros(x.shape[1])
+    for _ in range(NEWTON_STEPS):
+        p = 0.5 * (1.0 + np.tanh(0.5 * (x @ w)))
+        hessian = x.T @ (x * (p * (1.0 - p))[:, None])
+        w -= np.linalg.lstsq(hessian, x.T @ (p - y), rcond=None)[0]
+    return w
+
+
 class TestModelingAttack:
     def test_arbiter_is_learnable(self):
         puf = create_puf("arbiter", 7)
@@ -187,15 +197,31 @@ class TestModelingAttack:
         w = fit_logistic(x, y)
         assert w.shape == (9, 3)
         for k in range(3):
-            reference = np.zeros(9)
-            for _ in range(NEWTON_STEPS):
-                p = 0.5 * (1.0 + np.tanh(0.5 * (x @ reference)))
-                hessian = x.T @ (x * (p * (1.0 - p))[:, None])
-                reference -= np.linalg.lstsq(hessian, x.T @ (p - y[:, k]), rcond=None)[0]
+            reference = _lstsq_newton(x, y[:, k])
             single = fit_logistic(x, y[:, k, None])[:, 0]
             for fitted in (w[:, k], single):
                 assert np.allclose(fitted, reference, rtol=0, atol=1e-12)
                 assert np.array_equal(x @ fitted >= 0, x @ reference >= 0)
+
+    @pytest.mark.parametrize("rows, length", [(30, 64), (10, 8)])
+    def test_fit_logistic_min_norm_step_on_singular_hessians(self, rows, length):
+        # 30 rows of 65 features have rank <= 30; with challenge bit 0 held
+        # at 0, features 0 and 1 are equal, so 10 rows of 9 have rank <= 8.
+        # Labels in (0.1, 0.9) give a finite optimum in the row space, so
+        # the comparison measures the step and not the conditioning of a
+        # separable fit that has no optimum.
+        rng = np.random.default_rng(rows)
+        challenges = rng.integers(0, 2, size=(rows, length), dtype=np.uint8)
+        challenges[:, 0] = 0
+        x = parity_features(challenges)
+        y = rng.uniform(0.1, 0.9, size=(rows, 3))
+        assert np.linalg.matrix_rank(x) < x.shape[1]
+        w = fit_logistic(x, y)
+        for k in range(3):
+            reference = _lstsq_newton(x, y[:, k])
+            scale = max(1.0, np.abs(reference).max())
+            assert np.abs(w[:, k] - reference).max() <= 1e-12 * scale
+            assert np.array_equal(x @ w[:, k] >= 0, x @ reference >= 0)
 
     def test_fit_logistic_reaches_stationary_point(self):
         # photonic taps are not linearly separable, so the logistic loss has
@@ -207,6 +233,22 @@ class TestModelingAttack:
         w = fit_logistic(x, y)
         p = 0.5 * (1.0 + np.tanh(0.5 * (x @ w)))
         assert np.abs(x.T @ (p - y)).max() / len(x) < 1e-10
+
+    @pytest.mark.parametrize("bits", [(), (True,), (1.0,), (0, False)])
+    def test_target_bits_must_be_integers(self, bits):
+        # () once gave test_accuracy nan, (True,) and (1.0,) an IndexError
+        crps = harvest_crps(create_puf("arbiter", 13), 60,
+                            challenge_rng=np.random.default_rng(10))
+        with pytest.raises(ValidationError, match="target_bits"):
+            modeling_attack(crps[:50], crps[50:], AttackConfig(target_bits=bits))
+
+    def test_numpy_integer_target_bits_accepted(self):
+        crps = harvest_crps(create_puf("arbiter", 13), 60,
+                            challenge_rng=np.random.default_rng(10))
+        plain = modeling_attack(crps[:50], crps[50:], AttackConfig(target_bits=(1,)))
+        wide = modeling_attack(crps[:50], crps[50:],
+                            AttackConfig(target_bits=(np.int64(1),)))
+        assert wide == plain
 
     def test_repeated_target_bit_rejected(self):
         crps = harvest_crps(create_puf("arbiter", 13), 60,

@@ -161,6 +161,20 @@ class TestBandSweep:
         assert rows[0].reliability is None
         assert rows[0].mean_alias_entropy is None
 
+    # margins[:1] once read reliability -1.0, and re-reads of one device
+    # broadcast over all four
+    @pytest.mark.parametrize("cut", [
+        lambda m, r: (m[:1], r), lambda m, r: (m[:, :-1], r),
+        lambda m, r: (m[..., None], r), lambda m, r: (m, r[:, :1]),
+        lambda m, r: (m, r[:, :, :-1]), lambda m, r: (m, r[:0])],
+        ids=["one-device-margins", "short-margins", "3d-margins",
+             "one-device-re-reads", "short-re-reads", "no-re-reads"])
+    def test_rejects_mismatched_shapes(self, cut):
+        golden, margins, reevals = self._population()
+        margins, reevals = cut(margins, reevals)
+        with pytest.raises(ValidationError, match="margins|re-reads"):
+            band_sweep(golden, margins, reevals, [FilterBand(0.0, float("inf"))])
+
     def test_rejects_empty_grid(self):
         golden, margins, reevals = self._population()
         with pytest.raises(ValidationError):
