@@ -516,6 +516,22 @@ class TestIntegerOracle:
         assert oracle_bytes[0].hex() == "6b7edb9e76a1bf4b8ff62ad57ff82dbf"
         assert oracle_bytes[1].hex() == "a342d412379cc233cde9209c8d6d530e"
 
+    # a negative kerr gives negative Kerr products to floor; |kerr| = 1e5 at
+    # a = 0.6 comes near the largest product validate admits (validate
+    # rejects |kerr| = 1e5 at a = 0.95)
+    @pytest.mark.parametrize("a, kerr", [
+        (0.3, -25.0), (0.3, -1e5), (0.3, 1e5), (0.95, -25.0), (0.6, -1e5), (0.6, 1e5)])
+    def test_small_devices_agree_bit_for_bit(self, a, kerr):
+        puf = create_puf("photonic", 7, {"L": 32, "P": 8, "M": 16, "a": a, "kerr": kerr,
+                                         "noise_sigma": 0.0})
+        bits = puf.random_challenges("oracle", 4)
+        table = _oracle_phase_table()
+        oracle = [[v * 2.0 ** -40 for v in _oracle_intensities(puf, row.tolist(), table)]
+                  for row in bits]
+        assert puf.raw_intensities(bits).tolist() == oracle
+        for row, expected in zip(bits, oracle):
+            assert puf.raw_intensities(row[None, :])[0].tolist() == expected
+
 
 # -- independent integer oracle for the documented fabrication -------------
 
@@ -714,19 +730,22 @@ def test_device_identity_is_platform_and_layout_independent():
 _BATCH_PROBE = """
 import hashlib
 from pufstack.puf import create_puf
-puf = create_puf("photonic", 1, {"noise_sigma": 0.0})
-raw = puf.raw_intensities(puf.random_challenges("batch", 256))
-print(hashlib.sha256(raw.astype("<f8").tobytes()).hexdigest())
+for cfg in ({}, {"a": 0.3, "kerr": -25.0}):
+    puf = create_puf("photonic", 1, {**cfg, "noise_sigma": 0.0})
+    raw = puf.raw_intensities(puf.random_challenges("batch", 256))
+    print(hashlib.sha256(raw.astype("<f8").tobytes()).hexdigest())
 """
 
 
 def test_batched_intensities_are_platform_independent():
     # batch-256 products may take other BLAS kernels than the batch-1 reads
-    # of _PROBE
+    # of _PROBE; the negative-kerr device runs numpy's integer shift and
+    # multiply loops on negative Kerr products
     src = str(Path(pufstack.__file__).resolve().parents[1])
     for extra in [{}] + _ENVIRONMENTS:
         env = {**os.environ, "PYTHONPATH": src, **extra}
         out = subprocess.run([sys.executable, "-c", _BATCH_PROBE], capture_output=True,
                              text=True, check=True, env=env).stdout
-        assert out.strip() == \
-            "b8d3b84ee43fd772581eb2dae9b7fc6b481cf1aeb2c1ff8c2f8cd355b278b66a", extra
+        assert out.split() == [
+            "b8d3b84ee43fd772581eb2dae9b7fc6b481cf1aeb2c1ff8c2f8cd355b278b66a",
+            "cc0a420e4ca975dec50f5c64e30e4d2abfa2d4c6046c4cc26bb34a16ace0296f"], extra
