@@ -16,6 +16,7 @@ from typing import Optional
 import numpy as np
 
 from ..errors import ValidationError
+from ..puf.base import _bit_array
 from ..xof import expand_bits
 
 KEY_BYTES = 16
@@ -87,7 +88,7 @@ def _key_check(key: bytes) -> bytes:
 
 def fe_generate(response_bits: np.ndarray, randomness: bytes) -> tuple[SecretKey, HelperData]:
     """Enroll a response: helper = response XOR codeword(random message)."""
-    resp = np.asarray(response_bits, dtype=np.uint8)
+    resp = _bit_array(response_bits, 1, "response bits")
     if resp.shape != (CODE_BITS,):
         raise ValidationError(f"response length {resp.shape} != code length {CODE_BITS}")
     message = expand_bits(randomness, "fe-message", MESSAGE_BITS)
@@ -102,7 +103,7 @@ def fe_reproduce(noisy_bits: np.ndarray, helper: HelperData) -> Optional[SecretK
     Succeeds iff every block carries at most t errors; a miscorrected block
     yields a key that fails the helper's check digest.
     """
-    noisy = np.asarray(noisy_bits, dtype=np.uint8)
+    noisy = _bit_array(noisy_bits, 1, "response bits")
     if noisy.shape != (CODE_BITS,):
         raise ValidationError(f"response length {noisy.shape} != code length {CODE_BITS}")
     word = np.bitwise_xor(noisy, np.asarray(helper.code_offset, dtype=np.uint8))

@@ -44,6 +44,16 @@ gives the same bits on every machine, BLAS build and memory layout.
   raw = |floor(D s_L)|^2 per tap. The library forms k_t in int64 by right
   shifts, ((|y_t|^2 >> 24) * X) >> 24 with |y_t|^2 in counts of q^2; an
   arithmetic shift floors, so the definition is unchanged.
+* Folded injection. ``stages`` (L, P + 2, P) holds ``scatter[t]`` in rows
+  :P of stage t, 2^20 S_t u_0 in row P and 2^20 S_t (u_1 - u_0) in row
+  P + 1; ``scatter`` is the view ``stages[:, :P]``. A read keeps the
+  field-major state [m_{t-1}; 1; c_t], so one product with stage t forms
+  S_t (u_{c_t} + m_{t-1}) in counts of q. Its terms are grid values of
+  S_t times the integers of m_{t-1}, plus the folded rows, which are sums
+  of grid values of S_t times the integers of 2^20 u_0 and
+  2^20 (u_1 - u_0). Every term and every partial sum is an integer count
+  of q^2 below 2^53 (``worst_intermediate``), so the product is exactly
+  the real number S_t (2^20 u_{c_t} + m_{t-1}), in any summation order.
 * Prefix table. m_k depends only on c_1..c_k, so fabrication, before
   calibration, tabulates m_k for all 2^k prefixes of k = ``PREFIX_BITS``
   bits, and a read starts the cascade there. The table holds the values
@@ -97,6 +107,10 @@ _Q = 1 << GRID_BITS
 _GRID = 2.0 ** -GRID_BITS
 _N = 1 << TABLE_BITS
 _PREFIX_WEIGHTS = 1 << np.arange(PREFIX_BITS - 1, -1, -1)
+# Kerr index shifts: |y|^2 in counts of q^2 to counts of 2^-POWER_BITS, and
+# the product with X to table steps
+_LEVEL = np.array(2 * GRID_BITS - POWER_BITS, dtype=np.int64)
+_SCALE = np.array(POWER_BITS + KERR_BITS, dtype=np.int64)
 
 
 @dataclass
@@ -156,7 +170,7 @@ def worst_intermediate(params: PhotonicParams) -> float:
     return max(
         2 * params.n_paths * NORM_BOUND ** 2 * q2,            # Gram row sums
         2 * params.detect_count * params.n_paths * 2.0 ** 32,  # |D|^2 of draws
-        NORM_BOUND * stage * q2,                              # S_t (u + m)
+        (stage + 2 * NORM_BOUND) * q2,                        # S_t m + folded rows
         2 * stage * stage * q2,                               # |y_t|^2
         stage * stage * 2 ** POWER_BITS * abs(params.kerr_steps()),
         2 * stage * _Q * (_Q + 1),                            # y_t * table entry
@@ -249,8 +263,9 @@ def _floor(z: np.ndarray) -> np.ndarray:
 
 
 def _stage_matrices(rng: np.random.Generator, stages: int, p: int) -> np.ndarray:
-    """(stages, P, P) grid values of random unitaries; row k of a stage is
-    column k of S_t.
+    """(stages, P + 2, P): rows :P of a stage are the grid values of a
+    random unitary, row k column k of S_t; rows P and P + 1 are zero, left
+    for ``_fold_injection``.
 
     Classical Gram-Schmidt, run twice per column with a renormalization
     after each pass, so a small residual still keeps full grid precision.
@@ -262,7 +277,7 @@ def _stage_matrices(rng: np.random.Generator, stages: int, p: int) -> np.ndarray
     they are exact and equal.
     """
     draws = _gaussian_counts(rng, (stages, p, 2 * p)).view(np.complex128)
-    rows = np.zeros((stages, p, p), dtype=np.complex128)
+    rows = np.zeros((stages, p + 2, p), dtype=np.complex128)
     for j in range(p):
         v = draws[:, j]
         basis = rows[:, :j]
@@ -272,10 +287,27 @@ def _stage_matrices(rng: np.random.Generator, stages: int, p: int) -> np.ndarray
             parts = v.view(np.float64)
             v = _truncated_unit(parts, np.sum(parts * parts, axis=1)).view(np.complex128)
         rows[:, j] = v
-    gram = (rows @ rows.conj().transpose(0, 2, 1)).view(np.float64)
+    unitary = rows[:, :p]
+    gram = (unitary @ unitary.conj().transpose(0, 2, 1)).view(np.float64)
     if np.abs(gram).sum(axis=2).max() > NORM_BOUND * NORM_BOUND * _Q * _Q:
         raise ValidationError("fabricated stage matrix exceeds the passivity bound")
-    return rows * _GRID
+    unitary *= _GRID
+    return rows
+
+
+def _fold_injection(stages: np.ndarray, inject: np.ndarray) -> np.ndarray:
+    """Fold the injection into the (L, P + 2, P) ``stages``, whose rows :P
+    of stage t hold ``scatter[t]``, and return them: row P becomes
+    2^20 S_t u_0 and row P + 1 2^20 S_t (u_1 - u_0), so
+    [m, 1, c] @ stages[t] = S_t (2^20 u_c + m).
+
+    The rows are sums of grid values times integers of at most 2^21,
+    exact below 2^53 (``worst_intermediate``). Filling them in place keeps
+    a device at one stage array, never a second copy.
+    """
+    p = stages.shape[2]
+    stages[:, p:] = (np.stack([inject[0], inject[1] - inject[0]]) * _Q) @ stages[:, :p]
+    return stages
 
 
 class PhotonicPuf(PufInstance):
@@ -293,13 +325,17 @@ class PhotonicPuf(PufInstance):
         rng = derive_rng(device_seed, "photonic-fabrication")
         # One unitary per challenge-bit stage, so the cascade is passive
         # without per-stage power loss; all arrays lie on the 2^-20 grid.
-        self.scatter = _stage_matrices(rng, challenge_len, p)
+        stages = _stage_matrices(rng, challenge_len, p)
         inj = _gaussian_counts(rng, (2, 2 * p))
         self.inject = (_truncated_unit(inj, np.sum(inj * inj, axis=1))
                        * _GRID).view(np.complex128)
         det = _gaussian_counts(rng, (params.detect_count, 2 * p))
         self.detect = (_truncated_unit(det.ravel(), np.sum(det * det)).reshape(det.shape)
                        * _GRID).view(np.complex128)
+        self.stages = _fold_injection(stages, self.inject)
+        self.scatter = self.stages[:, :p]
+        self._memory = _rotations(params.memory_steps())
+        self._kerr = np.array(params.kerr_steps(), dtype=np.int64)
 
         self.prefix_states = self._prefix_table()
         self.gain = 1.0
@@ -308,47 +344,56 @@ class PhotonicPuf(PufInstance):
 
     # -- propagation ------------------------------------------------------
 
-    def _stage_body(self):
-        """The cascade stage, with this device's constants bound.
+    def _cascade(self, state: np.ndarray, bit_rows, first: int,
+                 trace: bool = False) -> list:
+        """Run cascade stages first, first + 1, ... on a field-major
+        (P + 2, B) ``state``, one stage per row of ``bit_rows``, which holds
+        each column's c_t. Rows :P of ``state`` hold each column's m_{t-1}
+        in counts of q and are overwritten by m_t; row P holds 1.
 
-        ``stage(t, bits, mem, detect, remember)`` runs stage t on a batch:
-        ``bits`` holds each row's c_t, ``mem`` its m_{t-1}. It returns the
-        raw intensities of s_t if ``detect`` and m_t if ``remember``, each
-        else None.
+        Returns the raw intensities (B, M) of s_t, in counts of q^2, of the
+        last stage L - 1 if it runs, or with ``trace`` of every stage. The
+        last stage forms no m_L.
 
-        Each floor acts in place on the float64 view of a fresh product.
-        The Kerr index is ((|y|^2 >> 24) * X) >> 24 in int64: an arithmetic
-        right shift floors, negative products of a negative X too. X and the
+        Row P + 1 receives c_t, so one product with the folded ``stages[t]``
+        forms y_t = S_t (2^20 u_{c_t} + m_{t-1}). y_t, y_t conj(y_t) and the
+        memory rotation go into buffers that every stage reuses, each floor
+        acts in place on the float64 view of a product, and ufunc outputs
+        and the ``take`` mode are passed positionally: at batch 1 fresh
+        arrays and keyword parsing cost as much as the arithmetic. The Kerr
+        index is ((|y|^2 >> 24) * X) >> 24 in int64: an arithmetic right
+        shift floors, negative products of a negative X too. X and the
         shift counts are 0-d int64 arrays, because at batch 1 a ufunc call
         with a Python-scalar operand costs about 0.4 us more.
         """
-        unit = _rotations(_Q)
-        memory = _rotations(self.params.memory_steps())
-        x = np.array(self.params.kerr_steps(), dtype=np.int64)
-        level = np.array(2 * GRID_BITS - POWER_BITS, dtype=np.int64)
-        scale = np.array(POWER_BITS + KERR_BITS, dtype=np.int64)
-        inject = self.inject * _Q
-
-        def stage(t, bits, mem, detect, remember):
-            y = (inject.take(bits, axis=0) + mem) @ self.scatter[t]
-            parts = y.view(np.float64)
-            np.floor(parts, out=parts)
-            steps = (((y * y.conj()).real.astype(np.int64) >> level) * x) >> scale
-            raw = state = None
-            if detect:
-                s = y * unit.take(steps, mode="wrap")
+        p = len(state) - 2
+        mem = state[:p]
+        y, power, turn = np.empty((3, p, state.shape[1]), dtype=np.complex128)
+        mem_parts, y_parts, power_real = mem.view(np.float64), y.view(np.float64), power.real
+        folded = self.stages.transpose(0, 2, 1)
+        unit, memory, kerr = _rotations(_Q), self._memory, self._kerr
+        last = self.challenge_len - 1
+        raws = []
+        for t, bits in enumerate(bit_rows, first):
+            state[p + 1] = bits
+            np.matmul(folded[t], state, y)
+            np.floor(y_parts, y_parts)
+            np.conjugate(y, power)
+            np.multiply(y, power, power)
+            steps = ((power_real.astype(np.int64) >> _LEVEL) * kerr) >> _SCALE
+            if trace or t == last:
+                s = y * unit.take(steps, None, None, "wrap")
                 parts = s.view(np.float64)
-                np.floor(parts, out=parts)
-                z = s @ self.detect.T
+                np.floor(parts, parts)
+                z = s.T @ self.detect.T
                 parts = z.view(np.float64)
-                np.floor(parts, out=parts)
-                raw = (z * z.conj()).real
-            if remember:
-                state = y * memory.take(steps, mode="wrap")
-                parts = state.view(np.float64)
-                np.floor(parts, out=parts)
-            return raw, state
-        return stage
+                np.floor(parts, parts)
+                raws.append((z * z.conj()).real)
+            if t < last:
+                memory.take(steps, None, turn, "wrap")
+                np.multiply(y, turn, mem)
+                np.floor(mem_parts, mem_parts)
+        return raws
 
     def _prefix_table(self) -> np.ndarray:
         """(2^PREFIX_BITS, P) read-only m_PREFIX_BITS, in counts of q, for
@@ -356,15 +401,17 @@ class PhotonicPuf(PufInstance):
         most significant, spell i.
 
         Built as a tree: each stage extends every prefix by 0 and by 1, so
-        row 2i + c of the next level continues row i with bit c.
+        column 2i + c of the next level continues column i with bit c.
         """
-        stage = self._stage_body()
-        mem = np.zeros((1, self.params.n_paths), dtype=np.complex128)
+        p = self.params.n_paths
+        state = np.zeros((p + 2, 1), dtype=np.complex128)
+        state[p] = 1
         for t in range(PREFIX_BITS):
-            _, mem = stage(t, np.tile([0, 1], len(mem)), np.repeat(mem, 2, axis=0),
-                           False, True)
-        mem.flags.writeable = False
-        return mem
+            state = np.repeat(state, 2, axis=1)
+            self._cascade(state, [np.tile([0, 1], state.shape[1] // 2)], t)
+        table = state[:p].T.copy()
+        table.flags.writeable = False
+        return table
 
     def _propagate(self, bits_matrix: np.ndarray, trace: bool = False) -> np.ndarray:
         """Run the stage cascade and detect: the raw intensities of s_L
@@ -373,23 +420,17 @@ class PhotonicPuf(PufInstance):
         matrix of 0/1.
 
         Without ``trace`` the cascade starts from the tabulated
-        m_PREFIX_BITS and runs the remaining stages only; the last stage
-        forms s_L and no m_L.
+        m_PREFIX_BITS and runs the remaining stages only.
         """
-        stage = self._stage_body()
-        order = np.ascontiguousarray(bits_matrix.T, dtype=np.intp)
-        last = self.challenge_len - 1
+        p = self.params.n_paths
+        order = bits_matrix.T
+        state = np.empty((p + 2, len(bits_matrix)), dtype=np.complex128)
+        state[p] = 1
         if trace:
-            first, mem = 0, 0.0
-        else:
-            first = PREFIX_BITS
-            mem = self.prefix_states.take(_PREFIX_WEIGHTS @ order[:PREFIX_BITS], axis=0)
-        stages = []
-        for t in range(first, self.challenge_len):
-            raw, mem = stage(t, order[t], mem, trace or t == last, t < last)
-            if raw is not None:
-                stages.append(raw)
-        return np.stack(stages, axis=1) if trace else stages[0]
+            state[:p] = 0
+            return np.stack(self._cascade(state, order, 0, trace=True), axis=1)
+        self.prefix_states.T.take(_PREFIX_WEIGHTS @ order[:PREFIX_BITS], 1, state[:p], "clip")
+        return self._cascade(state, order[PREFIX_BITS:], PREFIX_BITS)[0]
 
     def _raw(self, bits_matrix: np.ndarray) -> np.ndarray:
         """``raw_intensities`` of an already validated matrix, in a fresh

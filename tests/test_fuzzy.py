@@ -88,6 +88,40 @@ def test_wrong_length_rejected():
         fe_reproduce(RESPONSE[:639], helper)
 
 
+def _with_entry(value, dtype):
+    bits = RESPONSE.astype(dtype)
+    bits[3] = value
+    return bits
+
+
+# a 2 would enroll a helper offset holding 3, and 0.9 or 256 would be
+# truncated or wrapped to a bit by a uint8 cast
+NON_BITS = [(2, np.uint8), (256, np.int64), (-1, np.int64), (0.9, np.float64)]
+
+
+@pytest.mark.parametrize("value, dtype", NON_BITS)
+def test_generate_rejects_non_bits(value, dtype):
+    with pytest.raises(ValidationError):
+        fe_generate(_with_entry(value, dtype), RANDOMNESS)
+
+
+@pytest.mark.parametrize("value, dtype", NON_BITS)
+def test_reproduce_rejects_non_bits(value, dtype):
+    _, helper = fe_generate(RESPONSE, RANDOMNESS)
+    with pytest.raises(ValidationError):
+        fe_reproduce(_with_entry(value, dtype), helper)
+
+
+def test_bit_valued_inputs_of_any_dtype_agree():
+    key, helper = fe_generate(RESPONSE, RANDOMNESS)
+    for dtype in (np.int64, np.float64, bool):
+        bits = RESPONSE.astype(dtype)
+        other_key, other_helper = fe_generate(bits, RANDOMNESS)
+        assert other_key == key
+        assert np.array_equal(other_helper.code_offset, helper.code_offset)
+        assert fe_reproduce(bits, helper) == key
+
+
 def test_different_randomness_different_key():
     k1, _ = fe_generate(RESPONSE, RANDOMNESS)
     k2, _ = fe_generate(RESPONSE, b"\x12" * 32)

@@ -17,7 +17,8 @@ from pufstack.protocols.auth import derive_next_challenge, enroll_secret
 from pufstack.puf import (SUPPORTED_CHALLENGE_LENGTHS, Challenge, PhotonicParams,
                           PhotonicPuf, create_puf, parity_features,
                           stabilized_response)
-from pufstack.puf.photonic import PREFIX_BITS, TARGET_MEAN, cascade_bounds, phase_table
+from pufstack.puf.photonic import (PREFIX_BITS, TARGET_MEAN, _fold_injection, cascade_bounds,
+                                   phase_table)
 from pufstack.xof import derive_rng
 
 
@@ -248,8 +249,9 @@ class TestInvariants:
         bits[2], bits[3] = 0, 1
         checked = (0, 1, 2, 3, 255, 256, 510, 511, 512)
         full = {row: puf.stage_trace(Challenge(bits[row]))[-1] for row in checked}
-        for batch in (1, 2, 257, 513):
+        for batch in (0, 1, 2, 257, 512, 513):
             raw = puf.raw_intensities(bits[:batch])
+            assert raw.shape == (batch, 16)
             for row in checked:
                 if row < batch:
                     assert np.array_equal(raw[row], full[row]), (batch, row)
@@ -378,6 +380,25 @@ class TestExactRange:
         PhotonicParams(kerr_coeff=-1e5).validate()
         with pytest.raises(ValidationError):
             PhotonicParams(kerr_coeff=-2e5).validate()
+
+    # verdicts pinned before the challenge-bit injection was folded into
+    # the stage matrices, which added the folded rows' partial sums to
+    # worst_intermediate; '+' accepts, one entry per kerr in _VERDICT_KERRS
+    _VERDICT_KERRS = (-1e6, -1e5, -40.0, -25.0, 25.0, 40.0, 1e5, 1e6)
+    _VERDICTS = {0.0: "-++++++-", 0.3: "-++++++-", 0.6: "-++++++-",
+                 0.95: "--++++--", 0.99: "--------"}
+
+    @pytest.mark.parametrize("paths", [2, 8, 32, 64])
+    def test_validate_verdicts_pinned(self, paths):
+        for a, verdicts in self._VERDICTS.items():
+            got = ""
+            for kerr in self._VERDICT_KERRS:
+                try:
+                    PhotonicParams(n_paths=paths, mem_decay=a, kerr_coeff=kerr).validate()
+                    got += "+"
+                except ValidationError:
+                    got += "-"
+            assert got == verdicts, (paths, a)
 
     @pytest.mark.parametrize("a", [0.0, 0.6, 0.95])
     def test_detected_power_within_state_bound(self, a):
@@ -708,14 +729,23 @@ def test_device_identity_is_platform_and_layout_independent():
     bits = np.stack([c.bits for c in rand_challenges(200)])
     ref = puf.raw_intensities(bits)
     copy = create_puf("photonic", 1, {"noise_sigma": 0.0})
-    # a contiguous transposed copy of every stage, and strided views
-    copy.scatter = np.swapaxes(np.ascontiguousarray(np.swapaxes(puf.scatter, 1, 2)), 1, 2)
-    copy.inject = _strided(puf.inject)
+    # the folded stages rebuilt in a transposed layout from a copy of
+    # scatter and a strided injection, and a strided detector
+    length, paths = puf.scatter.shape[:2]
+    stages = np.swapaxes(np.zeros((length, paths, paths + 2), dtype=np.complex128), 1, 2)
+    stages[:, :paths] = puf.scatter
+    inject = _strided(puf.inject)
+    assert not (stages.flags.c_contiguous or inject.flags.c_contiguous)
+    copy.stages = _fold_injection(stages, inject)
     copy.detect = _strided(puf.detect)
+    assert not copy.detect.flags.c_contiguous
     # the prefix stages too, which a read takes from the fabrication table
     copy.prefix_states = copy._prefix_table()
-    assert not copy.scatter.flags.c_contiguous
-    assert not (copy.inject.flags.c_contiguous or copy.detect.flags.c_contiguous)
+    assert np.array_equal(copy.raw_intensities(bits), ref)
+    # and a strided copy of the folded stages, so that every product of a
+    # read, the prefix table's included, has a strided operand
+    copy.stages = _strided(puf.stages)
+    copy.prefix_states = copy._prefix_table()
     assert np.array_equal(copy.raw_intensities(bits), ref)
 
     # a relative 1e-12 change of a and kerr flips < 0.1% of the bits
@@ -725,6 +755,18 @@ def test_device_identity_is_platform_and_layout_independent():
         return device.evaluate_analog(bits) >= device.thresholds
 
     assert np.mean(quantized(moved) != quantized(puf)) < 1e-3
+
+
+def test_scatter_is_a_view_of_the_folded_stages():
+    # the folded injection costs 2 rows per stage, not a second stage array
+    puf = create_puf("photonic", 1, {"noise_sigma": 0.0})
+    length, paths = puf.challenge_len, puf.params.n_paths
+    assert np.shares_memory(puf.scatter, puf.stages)
+    assert puf.stages.size - puf.scatter.size == 2 * length * paths
+    assert puf.scatter.shape == (length, paths, paths)
+    assert np.array_equal(puf.stages[:, paths], (puf.inject[0] * 2 ** 20) @ puf.scatter)
+    assert np.array_equal(puf.stages[:, paths + 1],
+                          ((puf.inject[1] - puf.inject[0]) * 2 ** 20) @ puf.scatter)
 
 
 _BATCH_PROBE = """
