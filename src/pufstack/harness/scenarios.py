@@ -22,6 +22,10 @@ ATTEST_ADVERSARIES = ("none", "tamper", "relocate")
 # Per-chunk time of the simulated relocate adversary relative to the honest
 # device: its cost, not a verifier setting (that is budget_factor).
 RELOCATE_OVERHEAD = 1.5
+# Reject reason of each error that ends an auth session, looked up in order,
+# so a subclass (ReplayError) must precede its base (AuthenticationError).
+_REJECT_REASONS = {ReplayError: "Replay", AuthenticationError: "AuthFailure",
+                       FormatError: "Malformed", ProtocolStateError: "ProtocolState"}
 
 
 @dataclass
@@ -204,18 +208,11 @@ def _auth_trial(device: DeviceSession, verifier: VerifierSession,
         adversarial |= deliv[0].adversarial
         device.confirm(AuthMessage2.from_bytes(deliv[0].payload))
         return True, None, adversarial
-    except ReplayError:
+    except tuple(_REJECT_REASONS) as exc:
         device.abort()
-        return False, "Replay", adversarial
-    except AuthenticationError:
-        device.abort()
-        return False, "AuthFailure", adversarial
-    except FormatError:
-        device.abort()
-        return False, "Malformed", adversarial
-    except ProtocolStateError:
-        device.abort()
-        return False, "ProtocolState", adversarial
+        reason = next(name for cls, name in _REJECT_REASONS.items()
+                      if isinstance(exc, cls))
+        return False, reason, adversarial
 
 
 def _run_attest(config: ScenarioConfig) -> ScenarioReport:

@@ -172,9 +172,7 @@ class DeviceSession:
         expected = _mac(self._pending_secret,
                         _confirm_payload(self._pending_challenge))
         if not hmac.compare_digest(expected, msg2.mac):
-            self._pending_secret = None
-            self._pending_challenge = None
-            self.status = "stable"
+            self.abort()
             raise AuthenticationError("verifier confirmation MAC mismatch")
         self.secret = self._pending_secret
         self._pending_secret = None

@@ -9,8 +9,8 @@ import numpy as np
 
 from ..errors import ValidationError
 from .arbiter import ArbiterPuf, parity_features
-from .base import (Challenge, CrpBatch, PufInstance, Response,
-                   SUPPORTED_CHALLENGE_LENGTHS, challenge_matrix)
+from .base import (Challenge, CrpBatch, PufInstance, SUPPORTED_CHALLENGE_LENGTHS,
+                   challenge_matrix)
 from .photonic import PhotonicParams, PhotonicPuf
 
 KINDS = ("photonic", "arbiter")
@@ -82,38 +82,18 @@ def create_puf(kind: str, device_seed: Union[bytes, int, str],
 
 def stabilized_response(puf: PufInstance, challenge: Challenge,
                         noise_draw: Optional[np.random.Generator] = None,
-                        votes: int = 9) -> Response:
-    """Noise-robust response: bitwise majority over an odd number of reads.
-
-    Detector model: each read is the device's noiseless analog field plus
-    fresh Gaussian detector noise (sigma ``noise_sigma``), quantized
-    against the thresholds. The challenge is therefore propagated once, and
-    the ``votes`` reads draw their noise on that one field in a single
-    (votes, M) draw, which numpy's Generator fills in the same order as
-    ``votes`` separate (1, M) draws. This is exact, not an approximation:
-    a ``PufInstance`` holds no per-evaluation state and ``evaluate_analog``
-    is a pure function of the challenge matrix, so every read would have
-    propagated to the same field. Bits, the mean analog vector and the
-    generator's final state equal those of ``votes`` calls to ``evaluate``.
-
-    With ``noise_draw=None`` this is just the noiseless evaluation; protocol
-    layers use it wherever both parties must agree on exact bits.
-    """
-    if votes < 1 or votes % 2 == 0:
-        raise ValidationError("votes must be odd and >= 1")
-    field = puf.evaluate_many(challenge.bits[None, :])
-    if noise_draw is None:
-        return Response(field.bits[0], field.analog[0])
-    reads = puf.read_out(np.repeat(field.challenges, votes, axis=0),
-                         np.repeat(field.analog, votes, axis=0), noise_draw)
-    bits = (reads.bits.sum(axis=0) * 2 > votes).astype(np.uint8)
-    return Response(bits, reads.analog.mean(axis=0))
+                        votes: int = 9) -> CrpBatch:
+    """Noise-robust read of one challenge: the bitwise majority over an odd
+    number of reads (see ``PufInstance.evaluate_many``). With
+    ``noise_draw=None`` this is the noiseless read; protocol layers use it
+    wherever both parties must agree on exact bits."""
+    return puf.evaluate_many(challenge.bits[None, :], noise_draw, votes)[0]
 
 
 __all__ = [
     "ArbiterPuf", "Challenge", "CrpBatch",
     "PhotonicParams", "PhotonicPuf", "PufInstance",
-    "Response", "SUPPORTED_CHALLENGE_LENGTHS", "KINDS",
+    "SUPPORTED_CHALLENGE_LENGTHS", "KINDS",
     "challenge_matrix", "coerce_seed", "create_puf", "parity_features",
     "stabilized_response",
 ]

@@ -7,6 +7,8 @@ device-unique weight vector, mimicking M parallel delay chains on one die.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import ValidationError
@@ -32,8 +34,8 @@ class ArbiterPuf(PufInstance):
     def __init__(self, device_seed: bytes, challenge_len: int = 64,
                  response_len: int = 128, replica_sigma: float = 0.05,
                  noise_sigma: float = 0.02):
-        if not replica_sigma >= 0:
-            raise ValidationError("replica_sigma must be >= 0")
+        if not 0 <= replica_sigma < math.inf:
+            raise ValidationError("replica_sigma must be finite and >= 0")
         super().__init__(device_seed, challenge_len, response_len, noise_sigma)
         self.replica_sigma = replica_sigma  # weight spread of the M parallel chains
         rng = derive_rng(device_seed, "arbiter-fabrication")

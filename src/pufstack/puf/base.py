@@ -1,9 +1,10 @@
-"""Shared PUF types: challenges, responses, CRP batches."""
+"""Shared PUF types: challenges, CRP batches and the device base class."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -67,36 +68,13 @@ class Challenge:
 
 
 @dataclass(frozen=True)
-class Response:
-    """Quantized response bits plus the analog photocurrent vector behind them."""
-
-    bits: np.ndarray
-    analog: np.ndarray
-
-    def __post_init__(self):
-        bits = np.asarray(self.bits, dtype=np.uint8)
-        analog = np.asarray(self.analog, dtype=np.float64)
-        if bits.shape != analog.shape:
-            raise ValidationError("response bits and analog vector must align")
-        if not np.isfinite(analog).all():
-            raise ValidationError("analog response values must be finite")
-        object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "analog", analog)
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
-    def to_bytes(self) -> bytes:
-        return bits_to_bytes(self.bits)
-
-
-@dataclass(frozen=True)
 class CrpBatch:
     """N challenge-response pairs as aligned rows.
 
     ``challenges`` is (N, L); ``bits``, ``analog`` and ``margins`` are (N, M),
     where ``margins`` is |analog - thresholds|, the distance of each read
-    from its quantization threshold.
+    from its quantization threshold. An integer index gives one pair, whose
+    fields are the 1-D rows.
     """
 
     challenges: np.ndarray
@@ -107,9 +85,13 @@ class CrpBatch:
     def __len__(self) -> int:
         return len(self.challenges)
 
-    def __getitem__(self, rows: slice) -> "CrpBatch":
+    def __getitem__(self, rows: Union[int, slice]) -> "CrpBatch":
         return CrpBatch(self.challenges[rows], self.bits[rows],
                         self.analog[rows], self.margins[rows])
+
+    def to_bytes(self) -> bytes:
+        """The response bits packed MSB first, row after row."""
+        return np.packbits(self.bits, axis=-1).tobytes()
 
 
 class PufInstance:
@@ -133,8 +115,8 @@ class PufInstance:
             )
         if response_len < 1:
             raise ValidationError("response length M must be >= 1")
-        if not noise_sigma >= 0:
-            raise ValidationError("noise_sigma must be >= 0")
+        if not 0 <= noise_sigma < math.inf:
+            raise ValidationError("noise_sigma must be finite and >= 0")
         self.device_seed = device_seed
         self.challenge_len = challenge_len
         self.response_len = response_len
@@ -159,17 +141,45 @@ class PufInstance:
         raise NotImplementedError
 
     def evaluate(self, challenge: Challenge,
-                 noise_draw: Optional[np.random.Generator] = None) -> Response:
-        """Evaluate one challenge. ``noise_draw=None`` means noiseless."""
-        batch = self.evaluate_many(challenge.bits[None, :], noise_draw)
-        return Response(batch.bits[0], batch.analog[0])
+                 noise_draw: Optional[np.random.Generator] = None) -> CrpBatch:
+        """Read one challenge. ``noise_draw=None`` means noiseless."""
+        return self.evaluate_many(challenge.bits[None, :], noise_draw)[0]
 
     def evaluate_many(self, challenges,
-                      noise_draw: Optional[np.random.Generator] = None) -> CrpBatch:
-        """Evaluate an (N, L) challenge bit matrix, or anything np.asarray
-        turns into one, such as a list of challenges."""
+                      noise_draw: Optional[np.random.Generator] = None,
+                      votes: int = 1) -> CrpBatch:
+        """Read an (N, L) challenge bit matrix, or anything np.asarray turns
+        into one, such as a list of challenges. ``noise_draw=None`` means
+        noiseless.
+
+        With a ``noise_draw``, each row is read ``votes`` times (odd, >= 1):
+        ``bits`` is the bitwise majority of its reads and ``analog`` their
+        mean. Detector model: a read is the row's noiseless analog field
+        plus fresh Gaussian detector noise (sigma ``noise_sigma``),
+        quantized against the thresholds. So each row is propagated once,
+        and the reads draw their noise in one (N * votes, M) draw, row after
+        row, which numpy's Generator fills in the same order as separate
+        (1, M) draws. This is exact, not an approximation: a ``PufInstance``
+        holds no per-evaluation state and ``evaluate_analog`` is a pure
+        function of the challenge matrix. Given the same noiseless field,
+        bits, analog and the generator's final state equal those of
+        one-vote reads of each row in turn. The photonic field is the same
+        at every batch size; the arbiter's float matmul may round by batch
+        shape.
+        """
+        if votes < 1 or votes % 2 == 0:
+            raise ValidationError("votes must be odd and >= 1")
         mat = self._challenge_rows(challenges)
-        return self.read_out(mat, self.evaluate_analog(mat), noise_draw)
+        field = self.evaluate_analog(mat)
+        if noise_draw is None or votes == 1:
+            return self.read_out(mat, field, noise_draw)
+        reads = self.read_out(np.repeat(mat, votes, axis=0),
+                              np.repeat(field, votes, axis=0), noise_draw)
+        per_row = (len(mat), votes, -1)
+        bits = reads.bits.reshape(per_row).sum(axis=1) * 2 > votes
+        analog = reads.analog.reshape(per_row).mean(axis=1)
+        margins = analog - self.thresholds
+        return CrpBatch(mat, bits.view(np.uint8), analog, np.abs(margins, out=margins))
 
     def read_out(self, challenges: np.ndarray, analog: np.ndarray,
                  noise_draw: Optional[np.random.Generator] = None) -> CrpBatch:

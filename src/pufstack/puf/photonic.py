@@ -127,6 +127,8 @@ class PhotonicParams:
             raise ValidationError("detect_count M must be >= 1")
         if not 0.0 <= self.mem_decay < 1.0:
             raise ValidationError("mem_decay a must lie in [0, 1)")
+        if not math.isfinite(self.kerr_coeff):
+            raise ValidationError("kerr_coeff must be finite")
         if worst_intermediate(self) >= EXACT_LIMIT:
             raise ValidationError(
                 "n_paths, mem_decay and kerr_coeff let cascade intermediates "

@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pufstack.errors import ValidationError
+from pufstack.errors import (AuthenticationError, FormatError, ProtocolStateError,
+                             ReplayError, ValidationError)
 from pufstack.harness import (AdversaryPolicy, AttackConfig, Channel,
                               ScenarioConfig, harvest_crps, modeling_attack,
                               run_scenario)
 from pufstack.harness.attack import NEWTON_STEPS, fit_logistic
+from pufstack.harness.scenarios import _auth_trial
+from pufstack.protocols.auth import DeviceSession, VerifierSession, enroll_secret
 from pufstack.puf import create_puf, parity_features
 from pufstack.xof import derive_rng, expand
 
@@ -294,6 +297,24 @@ class TestScenarios:
         assert back == cfg
         with pytest.raises(ValidationError):
             ScenarioConfig.from_kv({"bogus": "1"})
+
+    @pytest.mark.parametrize("error, reason", [
+        (ReplayError, "Replay"), (AuthenticationError, "AuthFailure"),
+        (FormatError, "Malformed"), (ProtocolStateError, "ProtocolState")])
+    def test_auth_trial_names_the_reject_and_aborts(self, monkeypatch, error, reason):
+        # ReplayError subclasses AuthenticationError and keeps its own reason
+        puf = create_puf("photonic", 5, {"noise_sigma": 0.0})
+        secret = enroll_secret(puf)
+        device = DeviceSession(puf, secret, nonce_rng=np.random.default_rng(0))
+        verifier = VerifierSession(secret, golden_memory_hash=hashlib.sha256(b"").digest())
+
+        def fail(msg1):
+            raise error("injected")
+        monkeypatch.setattr(verifier, "check_device", fail)
+        trial = _auth_trial(device, verifier, Channel(AdversaryPolicy()))
+        assert trial == (False, reason, False)
+        assert device.status == "stable"
+        assert device.secret == secret
 
     def test_honest_auth_accepts_all(self):
         report = run_scenario(ScenarioConfig(trials=20))

@@ -14,8 +14,8 @@ from pufstack.errors import ChallengeShapeError, ValidationError
 from pufstack.metrics import population_responses
 from pufstack.protocols.attest import _response_to_challenge
 from pufstack.protocols.auth import derive_next_challenge, enroll_secret
-from pufstack.puf import (SUPPORTED_CHALLENGE_LENGTHS, Challenge, PhotonicParams,
-                          PhotonicPuf, create_puf, parity_features,
+from pufstack.puf import (SUPPORTED_CHALLENGE_LENGTHS, ArbiterPuf, Challenge,
+                          PhotonicParams, PhotonicPuf, create_puf, parity_features,
                           stabilized_response)
 from pufstack.puf.photonic import (PREFIX_BITS, TARGET_MEAN, _fold_injection, cascade_bounds,
                                    phase_table)
@@ -55,6 +55,20 @@ class TestCreation:
         for seed in (-1, 1 << 256, "zz" * 32):
             with pytest.raises(ValidationError):
                 create_puf("arbiter", seed)
+
+    def test_rejects_non_finite_device_parameters(self):
+        # an infinite sigma used to build a device that failed only at its
+        # first noisy read, and a non-finite kerr_coeff failed inside round()
+        seed = bytes(32)
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValidationError):
+                PhotonicPuf(seed, noise_sigma=bad)
+            with pytest.raises(ValidationError):
+                ArbiterPuf(seed, noise_sigma=bad)
+            with pytest.raises(ValidationError):
+                ArbiterPuf(seed, replica_sigma=bad)
+            with pytest.raises(ValidationError):
+                PhotonicParams(kerr_coeff=bad).validate()
 
     def test_seed_forms_equivalent(self):
         seed_int = 0xDEADBEEF
@@ -319,6 +333,41 @@ class TestInvariants:
             assert np.array_equal(got.bits, bits)
             assert np.array_equal(got.analog, analog)
         assert rng.bytes(8) == ref_rng.bytes(8)
+
+    # The photonic field is integer-exact at any batch size. The arbiter's
+    # is a float matmul whose rounding depends on the batch shape, so its
+    # analog values agree with one-row reads to rounding only.
+    @pytest.mark.parametrize("votes", [1, 3, 9])
+    @pytest.mark.parametrize("kind,cfg,atol", [("photonic", {}, 0.0),
+                                               ("arbiter", {"M": 12}, 1e-12)])
+    def test_evaluate_many_votes_row_after_row(self, kind, cfg, atol, votes):
+        # B rows voted in one read equal B one-row stabilized reads in turn
+        puf = create_puf(kind, 67, cfg)
+        rows = puf.random_challenges("votes", 4)
+        rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+        batch = puf.evaluate_many(rows, rng, votes)
+        singles = [stabilized_response(puf, Challenge(row), ref_rng, votes)
+                   for row in rows]
+        assert np.array_equal(batch.challenges, rows)
+        assert np.array_equal(batch.bits, np.stack([s.bits for s in singles]))
+        for name in ("analog", "margins"):
+            np.testing.assert_allclose(getattr(batch, name),
+                                       np.stack([getattr(s, name) for s in singles]),
+                                       rtol=0, atol=atol)
+        assert np.array_equal(batch.margins, np.abs(batch.analog - puf.thresholds))
+        assert rng.bytes(8) == ref_rng.bytes(8)
+        # M = 12 pads each row to 2 bytes
+        assert batch.to_bytes() == b"".join(s.to_bytes() for s in singles)
+        assert len(batch.to_bytes()) == len(rows) * -(-puf.response_len // 8)
+
+    def test_votes_must_be_odd_and_positive(self):
+        puf = create_puf("arbiter", 67)
+        rows = puf.random_challenges("votes", 2)
+        for votes in (0, 2, -1):
+            with pytest.raises(ValidationError):
+                puf.evaluate_many(rows, np.random.default_rng(0), votes)
+            with pytest.raises(ValidationError):
+                puf.evaluate_many(rows, votes=votes)
 
     def test_one_propagation_per_read(self, monkeypatch):
         # votes and population re-reads add detector noise to one noiseless
