@@ -7,6 +7,8 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
+import numpy as np
+
 from ..errors import (AuthenticationError, FormatError, ProtocolStateError,
                       ReplayError, ValidationError)
 from ..protocols.attest import (AttestationRequest, device_attest,
@@ -14,7 +16,7 @@ from ..protocols.attest import (AttestationRequest, device_attest,
 from ..protocols.auth import (AuthMessage1, AuthMessage2, AuthRequest,
                               DeviceSession, VerifierSession,
                               MSG_DEVICE_RESPONSE, enroll_secret)
-from ..puf import Challenge, create_puf
+from ..puf import create_puf
 from ..xof import derive_rng, expand, seed_bytes
 from .channel import MODES, AdversaryPolicy, Channel
 
@@ -43,6 +45,10 @@ class ScenarioConfig:
     def validate(self):
         if self.protocol not in ("auth", "attest"):
             raise ValidationError("protocol must be 'auth' or 'attest'")
+        for key in ("trials", "run_seed", "memory_bytes", "chunk_bytes"):
+            value = getattr(self, key)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ValidationError(f"{key} must be an integer, not {value!r}")
         if self.trials < 1:
             raise ValidationError("trials must be >= 1")
         for key in ("memory_bytes", "chunk_bytes"):
@@ -236,7 +242,7 @@ def _run_attest(config: ScenarioConfig) -> ScenarioReport:
     for trial in range(config.trials):
         request = AttestationRequest(
             timestamp=trial + 1,
-            challenge=Challenge.random(chal_rng, puf.challenge_len))
+            challenge=chal_rng.integers(0, 2, puf.challenge_len, dtype=np.uint8))
         device_memory = memory
         adversarial = config.adversary != "none"
         if config.adversary == "tamper":

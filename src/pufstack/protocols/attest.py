@@ -23,8 +23,8 @@ from typing import Optional
 import numpy as np
 
 from ..errors import FormatError, ValidationError
-from ..puf import Challenge, PufInstance
-from ..xof import expand, seeded_permutation
+from ..puf import PufInstance
+from ..xof import bytes_to_bits, expand, seeded_permutation
 
 MSG_ATTESTATION_REPORT = 0x04
 
@@ -37,7 +37,7 @@ DEFAULT_CHUNK_BYTES = 4096
 @dataclass(frozen=True)
 class AttestationRequest:
     timestamp: int
-    challenge: Challenge
+    challenge: np.ndarray   # one challenge, an (L,) bit row or a Challenge
 
     def __post_init__(self):
         if not 0 <= self.timestamp < 2 ** 64:
@@ -87,9 +87,9 @@ def derive_walk(first_response: bytes, timestamp: int, n_chunks: int) -> np.ndar
     return seeded_permutation(seed, "attestation-walk", n_chunks)
 
 
-def _response_to_challenge(response: bytes, length: int) -> Challenge:
-    """Width adaptation: expander truncation of the response bytes."""
-    return Challenge.from_bytes(
+def _response_to_challenge(response: bytes, length: int) -> np.ndarray:
+    """Width adaptation: the (L,) row truncating the expanded response."""
+    return bytes_to_bits(
         expand(response, "attest-chain-challenge", (length + 7) // 8), length)
 
 

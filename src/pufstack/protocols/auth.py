@@ -27,8 +27,8 @@ import numpy as np
 
 from ..errors import (AuthenticationError, FormatError, ProtocolStateError,
                       ReplayError)
-from ..puf import Challenge, PufInstance, stabilized_response
-from ..xof import expand
+from ..puf import PufInstance, stabilized_response
+from ..xof import bytes_to_bits, expand
 
 MSG_AUTH_REQUEST = 0x01
 MSG_DEVICE_RESPONSE = 0x02
@@ -40,10 +40,10 @@ CHALLENGE_LABEL = "auth-next-challenge"
 ENROLL_LABEL = "provisioning"
 
 
-def derive_next_challenge(secret: bytes, length: int) -> Challenge:
-    """The RNG known to both parties: expander keyed by the current secret."""
-    return Challenge.from_bytes(
-        expand(secret, CHALLENGE_LABEL, (length + 7) // 8), length)
+def derive_next_challenge(secret: bytes, length: int) -> bytes:
+    """The RNG known to both parties: expander keyed by the current secret.
+    Its first ``length`` bits, MSB first, are the next challenge."""
+    return expand(secret, CHALLENGE_LABEL, (length + 7) // 8)
 
 
 def _mac(key: bytes, payload: bytes) -> bytes:
@@ -124,8 +124,8 @@ class AuthMessage2:
         return cls(mac)
 
 
-def _confirm_payload(challenge: Challenge) -> bytes:
-    return _frame_fields(MSG_VERIFIER_CONFIRM, [challenge.to_bytes()])
+def _confirm_payload(challenge: bytes) -> bytes:
+    return _frame_fields(MSG_VERIFIER_CONFIRM, [challenge])
 
 
 class DeviceSession:
@@ -145,14 +145,15 @@ class DeviceSession:
         self._noise_rng = noise_rng
         self._votes = stabilize_votes
         self._pending_secret: Optional[bytes] = None
-        self._pending_challenge: Optional[Challenge] = None
+        self._pending_challenge: Optional[bytes] = None
 
     def respond(self, request: AuthRequest) -> AuthMessage1:
         if self.status != "stable":
             raise ProtocolStateError("respond() requires a stable session")
-        challenge = derive_next_challenge(self.secret, self.puf.challenge_len)
-        fresh = stabilized_response(self.puf, challenge, self._noise_rng,
-                                    self._votes).to_bytes()
+        length = self.puf.challenge_len
+        challenge = derive_next_challenge(self.secret, length)
+        fresh = stabilized_response(self.puf, bytes_to_bits(challenge, length),
+                                    self._noise_rng, self._votes).to_bytes()
         masked = bytes(a ^ b for a, b in zip(fresh, self.secret))
         msg = AuthMessage1(
             masked=masked,
@@ -245,5 +246,5 @@ def enroll_secret(puf: PufInstance,
                   votes: int = 9) -> bytes:
     """Manufacturing-time shared secret: response to a fixed enrollment
     challenge derived from the device seed."""
-    challenge = Challenge(puf.random_challenges(ENROLL_LABEL, 1)[0])
+    challenge = puf.random_challenges(ENROLL_LABEL, 1)[0]
     return stabilized_response(puf, challenge, noise_rng, votes).to_bytes()

@@ -42,8 +42,9 @@ def create_puf(kind: str, device_seed: Union[bytes, int, str],
 
     Recognized config keys (all optional): L, M and noise_sigma for every
     kind; P, a and kerr for photonic; replica_sigma for arbiter. Values may
-    be numbers or their text form, as read from a device file. Any other
-    key raises ValidationError.
+    be numbers or their text form, as read from a device file. A bool, a
+    fraction for the integer keys L, M and P, or any other key raises
+    ValidationError.
     """
     cfg = dict(config or {})
     seed = coerce_seed(device_seed)
@@ -52,7 +53,8 @@ def create_puf(kind: str, device_seed: Union[bytes, int, str],
         value = cfg.pop(key, default)
         try:
             number = cast(value)
-            if math.isfinite(number):
+            exact = cast is float or isinstance(value, str) or number == value
+            if exact and math.isfinite(number) and not isinstance(value, (bool, np.bool_)):
                 return number
         except (TypeError, ValueError, OverflowError):
             pass
@@ -80,14 +82,14 @@ def create_puf(kind: str, device_seed: Union[bytes, int, str],
     return puf
 
 
-def stabilized_response(puf: PufInstance, challenge: Challenge,
+def stabilized_response(puf: PufInstance, challenge,
                         noise_draw: Optional[np.random.Generator] = None,
                         votes: int = 9) -> CrpBatch:
-    """Noise-robust read of one challenge: the bitwise majority over an odd
-    number of reads (see ``PufInstance.evaluate_many``). With
+    """Noise-robust read of one (L,) challenge row: the bitwise majority
+    over an odd number of reads (see ``PufInstance.evaluate_many``). With
     ``noise_draw=None`` this is the noiseless read; protocol layers use it
     wherever both parties must agree on exact bits."""
-    return puf.evaluate_many(challenge.bits[None, :], noise_draw, votes)[0]
+    return puf.evaluate_many(np.asarray(challenge)[None], noise_draw, votes)[0]
 
 
 __all__ = [

@@ -9,7 +9,7 @@ from typing import Optional, Union
 import numpy as np
 
 from ..errors import ChallengeShapeError, ValidationError
-from ..xof import bits_to_bytes, bytes_to_bits, expand_bits
+from ..xof import expand_bits
 
 SUPPORTED_CHALLENGE_LENGTHS = (32, 64, 128)
 
@@ -41,7 +41,8 @@ def challenge_matrix(seed: bytes, label: str, count: int, length: int) -> np.nda
 
 @dataclass(frozen=True)
 class Challenge:
-    """A fixed-length challenge bit-string (MSB-first when serialized)."""
+    """One checked challenge bit row. A read takes any (L,) 0/1 row; this
+    wrapper only checks the row where it is built."""
 
     bits: np.ndarray
 
@@ -52,19 +53,8 @@ class Challenge:
         return len(self.bits)
 
     def __array__(self, dtype=None, copy=None):
-        # lets np.asarray stack a list of challenges into a bit matrix
+        # lets np.asarray read a challenge as its row, or stack a list of them
         return np.array(self.bits, dtype=dtype, copy=copy)
-
-    def to_bytes(self) -> bytes:
-        return bits_to_bytes(self.bits)
-
-    @classmethod
-    def from_bytes(cls, raw: bytes, length: int) -> "Challenge":
-        return cls(bytes_to_bits(raw, length))
-
-    @classmethod
-    def random(cls, rng: np.random.Generator, length: int) -> "Challenge":
-        return cls(rng.integers(0, 2, size=length, dtype=np.uint8))
 
 
 @dataclass(frozen=True)
@@ -140,10 +130,10 @@ class PufInstance:
     def thresholds(self) -> np.ndarray:
         raise NotImplementedError
 
-    def evaluate(self, challenge: Challenge,
+    def evaluate(self, challenge,
                  noise_draw: Optional[np.random.Generator] = None) -> CrpBatch:
-        """Read one challenge. ``noise_draw=None`` means noiseless."""
-        return self.evaluate_many(challenge.bits[None, :], noise_draw)[0]
+        """Read one (L,) challenge row. ``noise_draw=None`` means noiseless."""
+        return self.evaluate_many(np.asarray(challenge)[None], noise_draw)[0]
 
     def evaluate_many(self, challenges,
                       noise_draw: Optional[np.random.Generator] = None,

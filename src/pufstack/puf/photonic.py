@@ -79,7 +79,7 @@ import numpy as np
 
 from ..errors import ValidationError
 from ..xof import derive_rng
-from .base import Challenge, PufInstance
+from .base import PufInstance
 
 GRID_BITS = 20                 # fabricated values are multiples of 2^-20
 TABLE_BITS = 12                # phase table of N = 4096 entries per turn
@@ -453,9 +453,9 @@ class PhotonicPuf(PufInstance):
         """Noiseless detected intensities in raw (pre-gain) units, (B, M)."""
         return self._raw(self._challenge_rows(bits_matrix))
 
-    def stage_trace(self, challenge: Challenge) -> np.ndarray:
-        """Per-stage noiseless intensities (L, M); used to probe the memory term."""
-        trace = self._propagate(self._challenge_rows(challenge.bits[None, :]), trace=True)
+    def stage_trace(self, challenge) -> np.ndarray:
+        """Per-stage noiseless intensities (L, M) of one (L,) challenge row."""
+        trace = self._propagate(self._challenge_rows(np.asarray(challenge)[None]), trace=True)
         return trace[0] * _GRID ** 2
 
     def evaluate_analog(self, bits_matrix: np.ndarray) -> np.ndarray:

@@ -57,9 +57,11 @@ def seed_bytes(run_seed: int) -> bytes:
 
 
 def derive_rng(seed: bytes, label: str) -> np.random.Generator:
-    """A numpy Generator whose state is fully determined by (seed, label)."""
+    """A numpy Generator whose state is fully determined by (seed, label).
+    PCG64 is named, so a change of numpy's default bit generator cannot move
+    a stream; draws still depend on numpy's ``integers`` and ``normal``."""
     material = expand(seed, label, 16)
-    return np.random.default_rng(int.from_bytes(material, "big"))
+    return np.random.Generator(np.random.PCG64(int.from_bytes(material, "big")))
 
 
 class XofStream:
@@ -108,12 +110,6 @@ def seeded_permutation(seed: bytes, label: str, n: int) -> np.ndarray:
         j = stream.randbelow(i + 1)
         perm[i], perm[j] = perm[j], perm[i]
     return perm
-
-
-def bits_to_bytes(bits: np.ndarray) -> bytes:
-    """Pack a bit array (MSB-first) into bytes, zero-padding the tail."""
-    arr = np.asarray(bits, dtype=np.uint8)
-    return np.packbits(arr).tobytes()
 
 
 def bytes_to_bits(raw: bytes, n_bits: int) -> np.ndarray:

@@ -186,7 +186,7 @@ def test_criterion_5_attestation():
 
     tamper_hits = honest_hits = timeout_hits = 0
     for t in range(100):
-        req = AttestationRequest(t + 1, Challenge.random(rng, 64))
+        req = AttestationRequest(t + 1, Challenge(rng.integers(0, 2, 64, dtype=np.uint8)))
 
         pos = int(rng.integers(0, len(memory)))
         tampered = bytearray(memory)

@@ -290,6 +290,15 @@ class TestScenarios:
         with pytest.raises(ValidationError):
             ScenarioConfig(trials=0).validate()
 
+    @pytest.mark.parametrize("key,value", [("trials", 2.5), ("trials", True),
+                                           ("run_seed", 1.0), ("memory_bytes", "64"),
+                                           ("chunk_bytes", 512.0)])
+    def test_config_rejects_non_integers(self, key, value):
+        # trials = 2.5 used to validate and fail later inside range()
+        with pytest.raises(ValidationError, match=key):
+            ScenarioConfig(**{key: value}).validate()
+        assert ScenarioConfig(**{key: np.int64(3)}).validate() is None
+
     def test_config_kv_roundtrip(self):
         cfg = ScenarioConfig(protocol="attest", adversary="tamper", trials=7,
                              run_seed=3, chunk_bytes=2048)

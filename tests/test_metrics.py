@@ -135,7 +135,7 @@ class TestBandSweep:
         pufs = [create_puf("photonic", 6000 + i, {"noise_sigma": 0.02})
                 for i in range(4)]
         rng = np.random.default_rng(3)
-        chals = [Challenge.random(rng, 64) for _ in range(8)]
+        chals = [Challenge(rng.integers(0, 2, 64, dtype=np.uint8)) for _ in range(8)]
         return population_responses(pufs, chals, n_reevals=3,
                                     noise_rng=np.random.default_rng(4))
 
@@ -200,7 +200,7 @@ class TestDecisionRates:
 def test_population_responses_shapes():
     pufs = [create_puf("photonic", 6100 + i) for i in range(3)]
     rng = np.random.default_rng(9)
-    chals = [Challenge.random(rng, 64) for _ in range(2)]
+    chals = [Challenge(rng.integers(0, 2, 64, dtype=np.uint8)) for _ in range(2)]
     golden, margins, reevals = population_responses(
         pufs, chals, n_reevals=2, noise_rng=np.random.default_rng(10))
     assert golden.shape == (3, 256)
@@ -223,7 +223,7 @@ def test_population_responses_pinned():
     # exact integer device arithmetic: these digests hold on every machine
     pufs = [create_puf("photonic", 7100 + i) for i in range(3)]
     rng = np.random.default_rng(12)
-    chals = [Challenge.random(rng, 64) for _ in range(6)]
+    chals = [Challenge(rng.integers(0, 2, 64, dtype=np.uint8)) for _ in range(6)]
     golden, margins, reevals = population_responses(
         pufs, chals, n_reevals=2, noise_rng=np.random.default_rng(13))
     digests = [hashlib.sha256(a.tobytes()).hexdigest()

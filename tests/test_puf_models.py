@@ -19,7 +19,7 @@ from pufstack.puf import (SUPPORTED_CHALLENGE_LENGTHS, ArbiterPuf, Challenge,
                           stabilized_response)
 from pufstack.puf.photonic import (PREFIX_BITS, TARGET_MEAN, _fold_injection, cascade_bounds,
                                    phase_table)
-from pufstack.xof import derive_rng
+from pufstack.xof import bytes_to_bits, derive_rng
 
 
 def photonic(seed=1, **cfg):
@@ -28,7 +28,7 @@ def photonic(seed=1, **cfg):
 
 def rand_challenges(n, length=64, seed=0):
     rng = np.random.default_rng(seed)
-    return [Challenge.random(rng, length) for _ in range(n)]
+    return [Challenge(rng.integers(0, 2, length, dtype=np.uint8)) for _ in range(n)]
 
 
 class TestCreation:
@@ -55,6 +55,18 @@ class TestCreation:
         for seed in (-1, 1 << 256, "zz" * 32):
             with pytest.raises(ValidationError):
                 create_puf("arbiter", seed)
+
+    def test_rejects_fractional_and_bool_config_values(self):
+        # int() used to truncate these to P = 8, L = 32, M = 16 and M = 1
+        for kind, cfg in [("photonic", {"P": 8.7}), ("photonic", {"L": 32.9}),
+                          ("photonic", {"M": 16.5}), ("arbiter", {"M": True}),
+                          ("arbiter", {"M": np.True_}), ("photonic", {"kerr": True}),
+                          ("arbiter", {"noise_sigma": False})]:
+            key = next(iter(cfg))
+            with pytest.raises(ValidationError, match=f"config value {key} "):
+                create_puf(kind, 1, cfg)
+        puf = create_puf("photonic", 1, {"P": 16.0, "L": "64", "M": np.int64(16)})
+        assert (puf.params.n_paths, puf.challenge_len, puf.response_len) == (16, 64, 16)
 
     def test_rejects_non_finite_device_parameters(self):
         # an infinite sigma used to build a device that failed only at its
@@ -134,6 +146,23 @@ class TestEvaluate:
                   Challenge(np.zeros(32, dtype=np.uint8))]
         with pytest.raises(ChallengeShapeError):
             arbiter.evaluate_many(ragged)
+
+    @pytest.mark.parametrize("kind", ["photonic", "arbiter"])
+    def test_row_reads_as_its_challenge(self, kind):
+        # a read takes one challenge as a bare (L,) row or as a Challenge
+        puf = create_puf(kind, 71)
+        c = rand_challenges(1, seed=71)[0]
+        pairs = [(puf.evaluate(c), puf.evaluate(c.bits))]
+        for votes in (1, 9):
+            rng, ref_rng = np.random.default_rng(votes), np.random.default_rng(votes)
+            pairs.append((stabilized_response(puf, c, ref_rng, votes),
+                          stabilized_response(puf, c.bits, rng, votes)))
+            assert rng.bytes(8) == ref_rng.bytes(8)
+        for wrapped, row in pairs:
+            for name in ("challenges", "bits", "analog", "margins"):
+                assert np.array_equal(getattr(wrapped, name), getattr(row, name))
+        if kind == "photonic":
+            assert np.array_equal(puf.stage_trace(c), puf.stage_trace(c.bits))
 
     def test_raw_bit_error_rate_in_band(self):
         # regression bound: 2-8% intra-device BER at default noise
@@ -563,12 +592,12 @@ class TestIntegerOracle:
         puf = create_puf("photonic", 1, {"noise_sigma": 0.0})
         enrollment = Challenge(puf.random_challenges("provisioning", 1)[0])
         secret = enroll_secret(puf)
-        first_auth = derive_next_challenge(secret, 64)
+        first_auth = Challenge(bytes_to_bits(derive_next_challenge(secret, 64), 64))
         attest = Challenge(np.array([i % 2 for i in range(64)], dtype=np.uint8))
         challenges = [enrollment, first_auth, attest]
         r = puf.evaluate(attest).to_bytes()
         for _ in range(3):  # links 2..4 of the 4-chunk attestation chain
-            challenges.append(_response_to_challenge(r, 64))
+            challenges.append(Challenge(_response_to_challenge(r, 64)))
             r = puf.evaluate(challenges[-1]).to_bytes()
 
         table = _oracle_phase_table()

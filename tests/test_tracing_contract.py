@@ -57,6 +57,8 @@ def test_protocols_call_the_wrapped_names(tracer):
 
     names = [span[NAME] for span in tracer.spans]
     assert names.count("puf.stabilized_response") == 1
+    # the 4-chunk walk reads its 4 links through evaluate on each side
+    assert names.count("puf.evaluate") == 8
     assert names.count("xof.derive_walk") == 2
     # expander bytes outside the walks: one 8-byte auth challenge, and
     # 3 chained 8-byte challenges on each side of the attestation
