@@ -58,8 +58,8 @@ class ScenarioConfig:
             raise ValidationError("noise_sigma must be >= 0")
         if not 0 <= self.adversary_p <= 1:
             raise ValidationError("adversary_p must lie in [0, 1]")
-        if self.budget_factor <= 0:
-            raise ValidationError("budget_factor must be > 0")
+        if not (math.isfinite(self.budget_factor) and self.budget_factor > 0):
+            raise ValidationError("budget_factor must be finite and > 0")
         modes = MODES if self.protocol == "auth" else ATTEST_ADVERSARIES
         if self.adversary not in modes:
             raise ValidationError(f"{self.protocol} adversary must be one of {modes}, "

@@ -1,18 +1,25 @@
 """AEAD blobs with a fixed wire layout: nonce || len_be4 || ciphertext || tag.
 
-ChaCha20-Poly1305 (96-bit nonce, 128-bit tag) via the `cryptography`
-package. Nonces come from a per-key counter so runs stay replayable while
-never repeating under one key.
+AES-128-GCM (96-bit nonce, 128-bit tag) via the `cryptography` package,
+keyed with the 128-bit ``SecretKey`` as it is. Every nonce is drawn fresh
+from the OS CSPRNG: random 96-bit IVs are NIST SP 800-38D's RBG
+construction, which allows up to 2^32 seals under one key. Under GCM a
+repeated nonce leaks the GHASH key and so allows forgeries. A counter per
+handle cannot rule that out: each op reproduces a new ``SecretKey`` of the
+same value, and each handle built on it would count from 0 again. Random
+nonces stay unique across handles, ops and processes. So sealed blobs are
+the one output that is not a function of the seeds.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 from cryptography.exceptions import InvalidTag
-from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from ..errors import FormatError, ProtocolStateError, TamperError
 from .fuzzy import KEY_BYTES, SecretKey
@@ -35,6 +42,8 @@ class CipheredBlob:
     sealed: bytes
 
     def __post_init__(self):
+        if len(self.nonce) != NONCE_BYTES:
+            raise FormatError(f"nonce must be {NONCE_BYTES} bytes")
         if len(self.sealed) < TAG_BYTES:
             raise FormatError("sealed payload shorter than its tag")
 
@@ -53,7 +62,7 @@ class CipheredBlob:
 
 
 class AeadBox:
-    """Sealing/opening under one SecretKey with counter nonces.
+    """Sealing/opening under one SecretKey with random nonces.
 
     The cipher is set up once, here; ``close()`` drops it and zeroizes the
     key. Once the key is zeroized, by this box or by another on the same
@@ -64,15 +73,12 @@ class AeadBox:
         self._key = key
         if self._key_zeroized():
             raise ProtocolStateError("secret key is zeroized")
-        material = key._reveal()
-        # ChaCha20-Poly1305 wants 32 key bytes; stretch the 128-bit key.
-        self._cipher: ChaCha20Poly1305 | None = ChaCha20Poly1305(material + material)
-        self._nonce_counter = 0
+        self._cipher: AESGCM | None = AESGCM(key._reveal())
 
     def _key_zeroized(self) -> bool:
         return self._key._reveal() == bytes(KEY_BYTES)
 
-    def _live_cipher(self) -> ChaCha20Poly1305:
+    def _live_cipher(self) -> AESGCM:
         # The cipher must not outlive its key, which another handle on the
         # same key may have zeroized.
         if self._cipher is None or self._key_zeroized():
@@ -81,9 +87,7 @@ class AeadBox:
         return self._cipher
 
     def _next_nonce(self) -> bytes:
-        n = self._nonce_counter.to_bytes(NONCE_BYTES, "big")
-        self._nonce_counter += 1
-        return n
+        return os.urandom(NONCE_BYTES)
 
     def seal(self, plaintext: bytes, aad: bytes = b"") -> CipheredBlob:
         cipher = self._live_cipher()

@@ -106,7 +106,10 @@ def fe_reproduce(noisy_bits: np.ndarray, helper: HelperData) -> Optional[SecretK
     noisy = _bit_array(noisy_bits, 1, "response bits")
     if noisy.shape != (CODE_BITS,):
         raise ValidationError(f"response length {noisy.shape} != code length {CODE_BITS}")
-    word = np.bitwise_xor(noisy, np.asarray(helper.code_offset, dtype=np.uint8))
+    offset = _bit_array(helper.code_offset, 1, "helper code offset")
+    if offset.shape != (CODE_BITS,):
+        raise ValidationError(f"helper offset length {offset.shape} != code length {CODE_BITS}")
+    word = np.bitwise_xor(noisy, offset)
     message = decode(word)
     key = _kdf(message)
     if _key_check(key) != helper.key_check:

@@ -1,17 +1,20 @@
 import hashlib
+import itertools
 import struct
 
 import numpy as np
 import pytest
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pufstack.errors import FormatError, ProtocolStateError, TamperError
-from pufstack.keys.aead import TAG_BYTES, AeadBox, CipheredBlob
+from pufstack.keys.aead import NONCE_BYTES, TAG_BYTES, AeadBox, CipheredBlob
 from pufstack.keys.fuzzy import SecretKey
-from pufstack.keys.netservice import (_NET_AAD, SecureAccelerator, decode_network,
-                                      decode_vector, encode_network,
-                                      encode_vector, reference_forward)
+from pufstack.keys.netservice import (_IN_AAD, _NET_AAD, SecureAccelerator,
+                                      decode_network, decode_vector,
+                                      encode_network, encode_vector,
+                                      reference_forward)
 
 KEY = SecretKey(bytes(range(16)))
 
@@ -50,11 +53,6 @@ class TestAeadBox:
         nonces = {box.seal(b"x").nonce for _ in range(100)}
         assert len(nonces) == 100
 
-    def test_deterministic_given_key_and_order(self):
-        a, b = fresh_box(), fresh_box()
-        for _ in range(3):
-            assert a.seal(b"payload").to_bytes() == b.seal(b"payload").to_bytes()
-
     def test_wrong_aad_rejected(self):
         box = fresh_box()
         blob = box.seal(b"data", aad=b"right")
@@ -83,6 +81,13 @@ class TestAeadBox:
     def test_blob_shorter_than_tag_rejected(self):
         with pytest.raises(FormatError):
             CipheredBlob(b"\x00" * 12, b"\x00" * 15)
+
+    @pytest.mark.parametrize("length", [0, 8, 11, 13, 16])
+    def test_nonce_length_checked(self, length):
+        # AES-GCM takes nonces of 8 to 128 bytes and hashes every one that
+        # is not 12 bytes into its IV; the wire layout has exactly 12
+        with pytest.raises(FormatError, match="nonce"):
+            CipheredBlob(b"\x00" * length, b"\x00" * 16)
 
     def test_zeroized_key_rejected(self):
         key = SecretKey(bytes(range(16)))
@@ -229,6 +234,22 @@ class TestSecureAccelerator:
         out = accel.open_output(accel.execute_network(accel.seal_input(x)))
         assert np.array_equal(out, reference_forward(layers, x))
 
+    def test_nonces_unique_across_handles(self):
+        # as in key-service: a new provisioning handle per op on the enrolled
+        # key, and a device handle on an equal key reproduced from a read
+        enrolled = SecretKey(bytes(range(16)))
+        device = SecureAccelerator(SecretKey(bytes(range(16))))
+        blobs = []
+        for _ in range(2):
+            provisioning = SecureAccelerator(enrolled)
+            blobs.append(provisioning.seal_network([np.eye(4)]))
+            device.load_network(blobs[-1])
+            for x in np.eye(4):
+                blobs.append(provisioning.seal_input(x))
+                blobs.append(device.execute_network(blobs[-1]))
+        nonces = [blob.nonce for blob in blobs]
+        assert len(set(nonces)) == len(nonces) == 18
+
     def test_plaintext_buffers_wiped(self, monkeypatch):
         opened, sealed = [], []
         real_open, real_seal = AeadBox.open, AeadBox.seal
@@ -293,7 +314,7 @@ def _sha(raw) -> str:
 
 class TestWireFormatPinned:
     """SHA-256 pins of the plaintext schemas and of the sealed-blob wire
-    layout under a fixed key and nonce order."""
+    layout under a fixed key and fixed nonces."""
 
     def test_encode_network_frozen(self):
         assert _sha(encode_network(_pinned_layers())) == (
@@ -303,12 +324,25 @@ class TestWireFormatPinned:
         assert _sha(encode_vector(_PINNED_VECTOR)) == (
             "7699e640b34d6843bd85fd55d794f290e9bdeac7af624ef932955275003b0623")
 
-    def test_sealed_blobs_frozen(self):
+    def test_sealed_blobs_frozen(self, monkeypatch):
+        # nonces are random; pin the layout under nonces 0, 1, ...
+        counter = itertools.count()
+        monkeypatch.setattr(AeadBox, "_next_nonce",
+                            lambda box: next(counter).to_bytes(NONCE_BYTES, "big"))
         accel = SecureAccelerator(SecretKey(bytes(range(16))))
-        assert _sha(accel.seal_network(_pinned_layers()).to_bytes()) == (
-            "11461319c77f0ef6c75c72d8479eaa8723f66f39afd042648a23cb839fa8338c")
-        assert _sha(accel.seal_input(_PINNED_VECTOR).to_bytes()) == (
-            "2a3e13d5a7acfb681440c9879fd748e841f4818aeec6554c266b5dcf292badb4")
+        network = accel.seal_network(_pinned_layers()).to_bytes()
+        vector = accel.seal_input(_PINNED_VECTOR).to_bytes()
+        assert _sha(network) == (
+            "6dfaccb484780d3f8783c2051aa4d026be99b2c43a72220408bb2b7358b79015")
+        assert _sha(vector) == (
+            "3068d3d647ebb84565df05e3a214f5ee95db7dd99e65378d990e400678c301c3")
+        cipher = AESGCM(bytes(range(16)))
+        for i, (raw, plain, aad) in enumerate((
+                (network, encode_network(_pinned_layers()), _NET_AAD),
+                (vector, encode_vector(_PINNED_VECTOR), _IN_AAD))):
+            nonce = i.to_bytes(NONCE_BYTES, "big")
+            assert raw == (nonce + struct.pack(">I", len(plain))
+                           + cipher.encrypt(nonce, bytes(plain), aad))
 
     def test_large_network_wire_roundtrip(self):
         # three 256 x 256 layers: about 1.5 MB sealed

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from pufstack.errors import ValidationError
-from pufstack.keys.fuzzy import (CODE_BITS, MESSAGE_BITS, SecretKey, decode,
-                                 encode, fe_generate, fe_reproduce)
+from pufstack.keys.fuzzy import (CODE_BITS, MESSAGE_BITS, HelperData, SecretKey,
+                                 decode, encode, fe_generate, fe_reproduce)
 from pufstack.xof import expand_bits
 
 RESPONSE = expand_bits(b"\x07" * 32, "fe-test-response", 640)
@@ -110,6 +110,18 @@ def test_reproduce_rejects_non_bits(value, dtype):
     _, helper = fe_generate(RESPONSE, RANDOMNESS)
     with pytest.raises(ValidationError):
         fe_reproduce(_with_entry(value, dtype), helper)
+
+
+@pytest.mark.parametrize("offset", [
+    lambda o: o[:639],                        # once a numpy broadcast error
+    lambda o: np.where(np.arange(o.size) == 3, np.uint8(255), o),  # once XORed in
+    lambda o: o.reshape(128, 5),
+], ids=["639-bits", "entry-255", "2-D"])
+def test_reproduce_rejects_malformed_helper(offset):
+    # helper data is public and arrives from storage, so it is checked too
+    _, helper = fe_generate(RESPONSE, RANDOMNESS)
+    with pytest.raises(ValidationError, match="helper"):
+        fe_reproduce(RESPONSE, HelperData(offset(helper.code_offset), helper.key_check))
 
 
 def test_bit_valued_inputs_of_any_dtype_agree():

@@ -299,6 +299,15 @@ class TestScenarios:
             ScenarioConfig(**{key: value}).validate()
         assert ScenarioConfig(**{key: np.int64(3)}).validate() is None
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_config_rejects_non_finite_budget_factor(self, value):
+        # from_kv rejects these, but a config built directly reached
+        # int(budget_factor * ...) in the attest run and failed there
+        config = ScenarioConfig(protocol="attest", adversary="none", trials=1,
+                                budget_factor=value)
+        with pytest.raises(ValidationError, match="budget_factor"):
+            run_scenario(config)
+
     def test_config_kv_roundtrip(self):
         cfg = ScenarioConfig(protocol="attest", adversary="tamper", trials=7,
                              run_seed=3, chunk_bytes=2048)

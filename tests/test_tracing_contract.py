@@ -1,8 +1,10 @@
 """The traced benchmark wraps module globals and class attributes of the
 package from outside (bench/tracing.py). These tests fail as soon as one of
 those names is renamed away, or the package stops calling it through the
-name that is wrapped."""
+name that is wrapped. The last test reads the tracer's nonce-reuse count
+over one round of the key-service workload."""
 
+import importlib
 import importlib.util
 from pathlib import Path
 
@@ -13,8 +15,8 @@ from pufstack.protocols import attest, auth
 from pufstack.puf import Challenge, create_puf
 from pufstack.xof import derive_rng
 
-_spec = importlib.util.spec_from_file_location(
-    "bench_tracing", Path(__file__).resolve().parent.parent / "bench" / "tracing.py")
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+_spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
 tracing = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(tracing)
 NAME, XOF = tracing.NAME, tracing.XOF
@@ -65,3 +67,21 @@ def test_protocols_call_the_wrapped_names(tracer):
     walk_bytes = sum(span[XOF] for span in tracer.spans
                      if span[NAME] == "xof.derive_walk")
     assert tracer.spans[root][XOF] - walk_bytes == 8 + 2 * 3 * 8
+
+
+def test_key_service_reuses_no_nonce(tracer, monkeypatch):
+    # one round of the key-service workload as the traced benchmark runs it:
+    # every op seals under a new provisioning handle on the enrolled key
+    # and under a device handle on the key that op reproduces
+    monkeypatch.syspath_prepend(str(BENCH))
+    workload = importlib.import_module("workloads").KeyService(1)
+    workload.setup()
+    ops = range(workload.round)
+    for i in ops:
+        staged = workload.prepare(i)
+        root = tracer.begin(i, workload.root)
+        result = workload.op(i, staged)
+        tracer.end(root)
+        assert workload.check(i, staged, result) is None
+    assert len(tracer.seals) == (1 + 2 * workload.INPUTS) * len(ops)
+    assert tracing._nonce_reuse(tracer.seals, ops) == [0] * len(ops)
