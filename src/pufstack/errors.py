@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the integer check
+that raises one where a seed, timestamp or index enters."""
+
+import numbers
 
 
 class PufStackError(Exception):
@@ -31,3 +34,11 @@ class TamperError(PufStackError):
 
 class FormatError(PufStackError):
     """A decrypted or framed payload does not follow its documented schema."""
+
+
+def require_int(value, name: str) -> int:
+    """``value`` as a Python int: any integer, numpy's too, but not a bool,
+    which would pass as 0 or 1. Anything else raises ValidationError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, not {value!r}")
+    return int(value)

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..errors import ValidationError
+from ..errors import ValidationError, require_int
 from ..puf import CrpBatch, PufInstance, parity_features
 
 
@@ -127,8 +127,7 @@ def modeling_attack(crps_train: CrpBatch, crps_test: CrpBatch,
         raise ValidationError("target_bits must name at least one response bit")
     width = crps_train.bits.shape[1]
     for i, b in enumerate(columns):
-        if isinstance(b, bool) or not isinstance(b, (int, np.integer)):
-            raise ValidationError(f"target_bits entry {b!r} is not an integer")
+        require_int(b, "a target_bits entry")
         if not 0 <= b < width:
             raise ValidationError(
                 f"target bit {b} is outside the response bits [0, {width})")

@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 
 from ..errors import (AuthenticationError, FormatError, ProtocolStateError,
-                      ReplayError, ValidationError)
+                      ReplayError, ValidationError, require_int)
 from ..protocols.attest import (AttestationRequest, device_attest,
                                 honest_elapsed, verifier_attest_check)
 from ..protocols.auth import (AuthMessage1, AuthMessage2, AuthRequest,
@@ -46,9 +46,7 @@ class ScenarioConfig:
         if self.protocol not in ("auth", "attest"):
             raise ValidationError("protocol must be 'auth' or 'attest'")
         for key in ("trials", "run_seed", "memory_bytes", "chunk_bytes"):
-            value = getattr(self, key)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise ValidationError(f"{key} must be an integer, not {value!r}")
+            require_int(getattr(self, key), key)
         if self.trials < 1:
             raise ValidationError("trials must be >= 1")
         for key in ("memory_bytes", "chunk_bytes"):
@@ -96,13 +94,24 @@ class ScenarioConfig:
 class ScenarioReport:
     protocol: str
     trials: int
-    accepts: int
-    rejects: dict[str, int]
-    adversary_attempts: int
-    adversary_successes: int
-    adversary_actions: int
+    accepts: int = 0
+    rejects: dict[str, int] = field(default_factory=dict)
+    adversary_attempts: int = 0
+    adversary_successes: int = 0
+    adversary_actions: int = 0
     secrets_in_sync: Optional[bool] = None
     trial_rows: list[tuple] = field(default_factory=list, repr=False)
+
+    def record(self, trial: int, accepted: bool, reason: Optional[str],
+               adversarial: bool):
+        """Count one trial's verdict and add its row."""
+        if accepted:
+            self.accepts += 1
+            self.adversary_successes += adversarial
+        else:
+            _bump(self.rejects, reason)
+        self.trial_rows.append((trial, "accept" if accepted else "reject",
+                                reason or "", adversarial))
 
     def to_kv(self) -> dict[str, str]:
         kv = {
@@ -147,45 +156,28 @@ def _run_auth(config: ScenarioConfig) -> ScenarioReport:
     channel = Channel(policy, rng=derive_rng(seed, "scenario-adversary"))
     pick_rng = derive_rng(seed, "scenario-replay-pick")
 
-    accepts = 0
-    rejects: dict[str, int] = {}
-    adv_attempts = 0
-    adv_successes = 0
-    rows = []
-
+    report = ScenarioReport("auth", config.trials)
     for trial in range(config.trials):
-        outcome, reason, adversarial = _auth_trial(device, verifier, channel)
-        if outcome:
-            accepts += 1
-            if adversarial:
-                adv_successes += 1
-        else:
-            _bump(rejects, reason)
-        rows.append((trial, "accept" if outcome else "reject", reason or "", adversarial))
-
+        report.record(trial, *_auth_trial(device, verifier, channel))
         if config.adversary == "replay":
             msg1s = [p for p in channel.harvested
                      if p and p[0] == MSG_DEVICE_RESPONSE]
             if msg1s:
-                adv_attempts += 1
+                report.adversary_attempts += 1
                 payload = msg1s[int(pick_rng.integers(0, len(msg1s)))]
                 injected = channel.inject(payload)
                 try:
                     verifier.check_device(AuthMessage1.from_bytes(injected.payload))
                 except (AuthenticationError, FormatError):
-                    _bump(rejects, "ReplayRejected")
+                    _bump(report.rejects, "ReplayRejected")
                 else:
-                    adv_successes += 1
-                    _bump(rejects, "ReplayAccepted")
+                    report.adversary_successes += 1
+                    _bump(report.rejects, "ReplayAccepted")
 
-    return ScenarioReport(
-        protocol="auth", trials=config.trials, accepts=accepts, rejects=rejects,
-        adversary_attempts=adv_attempts, adversary_successes=adv_successes,
-        adversary_actions=len(channel.log),
-        secrets_in_sync=(device.secret == verifier.secret
-                         or device.secret == verifier.previous),
-        trial_rows=rows,
-    )
+    report.adversary_actions = len(channel.log)
+    report.secrets_in_sync = (device.secret == verifier.secret
+                              or device.secret == verifier.previous)
+    return report
 
 
 def _auth_trial(device: DeviceSession, verifier: VerifierSession,
@@ -233,43 +225,26 @@ def _run_attest(config: ScenarioConfig) -> ScenarioReport:
     budget = int(config.budget_factor
                  * honest_elapsed(n_chunks, puf.challenge_len))
 
-    accepts = 0
-    rejects: dict[str, int] = {}
-    adv_attempts = 0
-    adv_successes = 0
-    rows = []
-
+    report = ScenarioReport("attest", config.trials)
     for trial in range(config.trials):
         request = AttestationRequest(
             timestamp=trial + 1,
             challenge=chal_rng.integers(0, 2, puf.challenge_len, dtype=np.uint8))
         device_memory = memory
-        adversarial = config.adversary != "none"
         if config.adversary == "tamper":
             pos = int(tamper_rng.integers(0, len(memory)))
             tampered = bytearray(memory)
             tampered[pos] ^= 0xFF
             device_memory = bytes(tampered)
-            adv_attempts += 1
-        report = device_attest(request, device_memory, puf,
-                               chunk_size=config.chunk_bytes)
+            report.adversary_attempts += 1
+        attested = device_attest(request, device_memory, puf,
+                                 chunk_size=config.chunk_bytes)
         if config.adversary == "relocate":
-            report = replace(report, elapsed=round(RELOCATE_OVERHEAD * report.elapsed))
-            adv_attempts += 1
-        verdict = verifier_attest_check(request, report, memory, puf, budget,
+            attested = replace(attested, elapsed=round(RELOCATE_OVERHEAD * attested.elapsed))
+            report.adversary_attempts += 1
+        verdict = verifier_attest_check(request, attested, memory, puf, budget,
                                         chunk_size=config.chunk_bytes)
-        if verdict.accepted:
-            accepts += 1
-            if adversarial:
-                adv_successes += 1
-        else:
-            _bump(rejects, verdict.reason)
-        rows.append((trial, "accept" if verdict.accepted else "reject",
-                     verdict.reason or "", adversarial))
+        report.record(trial, verdict.accepted, verdict.reason, config.adversary != "none")
 
-    return ScenarioReport(
-        protocol="attest", trials=config.trials, accepts=accepts,
-        rejects=rejects, adversary_attempts=adv_attempts,
-        adversary_successes=adv_successes, adversary_actions=adv_attempts,
-        trial_rows=rows,
-    )
+    report.adversary_actions = report.adversary_attempts
+    return report

@@ -133,6 +133,10 @@ def population_responses(pufs, challenges, n_reevals: int = 0,
     """
     if len(pufs) == 0 or len(challenges) == 0:
         raise ValidationError("population needs devices and challenges")
+    lengths = sorted({puf.response_len for puf in pufs})
+    if len(lengths) > 1:
+        raise ValidationError("population devices differ in response length: M = "
+                              + " and ".join(map(str, lengths)))
     challenges = _bit_array(challenges, 2, "challenge bits")
     batches = [puf.evaluate_many(challenges) for puf in pufs]
     golden = np.stack([b.bits.ravel() for b in batches])

@@ -4,10 +4,12 @@ The verifier sends (timestamp, challenge). The device derives a walk over
 all memory chunks from KDF(r_1 || t), then folds every chunk into a hash
 chain where each link also binds a fresh chained PUF response: r_{i+1} is
 the response to the previous response (width-adapted), so the final hash
-depends on every chunk, every response, and the timestamp. The verifier,
-holding the golden memory and a noiseless model of the device, recomputes
-h_n and enforces a time budget that a memory-relocating adversary cannot
-meet. The report does not echo the timestamp: h_n depends on it, and the
+depends on every chunk and every response. It depends on the timestamp only
+through the walk order: an image of k chunks has at most k! final hashes
+over all timestamps, and an image of identical chunks has one. The
+verifier, holding the golden memory and a noiseless model of the device,
+recomputes h_n and enforces a time budget that a memory-relocating
+adversary cannot meet. The report does not echo the timestamp: the
 verifier recomputes h_n from the request it holds.
 
 Report wire format: type(1) || h_n(32) || elapsed_be8.
@@ -22,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..errors import FormatError, ValidationError
+from ..errors import FormatError, ValidationError, require_int
 from ..puf import PufInstance
 from ..xof import bytes_to_bits, expand, seeded_permutation
 
@@ -40,7 +42,7 @@ class AttestationRequest:
     challenge: np.ndarray   # one challenge, an (L,) bit row or a Challenge
 
     def __post_init__(self):
-        if not 0 <= self.timestamp < 2 ** 64:
+        if not 0 <= require_int(self.timestamp, "timestamp") < 2 ** 64:
             raise ValidationError("timestamp must fit 64 bits")
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -129,7 +129,11 @@ def _confirm_payload(challenge: bytes) -> bytes:
 
 
 class DeviceSession:
-    """Device-side state machine. Single-owner, strictly sequential."""
+    """Device-side state machine. Single-owner, strictly sequential.
+
+    Between ``respond`` and ``confirm`` the session holds one pending epoch,
+    (r_{i+1}, c_{i+1}); ``status`` says whether it does.
+    """
 
     def __init__(self, puf: PufInstance, initial_secret: bytes,
                  memory_image: bytes = b"", *,
@@ -140,52 +144,42 @@ class DeviceSession:
         self.secret = initial_secret
         self.memory_image = memory_image
         self.counter = 0
-        self.status = "stable"
         self._nonce_rng = nonce_rng
         self._noise_rng = noise_rng
         self._votes = stabilize_votes
-        self._pending_secret: Optional[bytes] = None
-        self._pending_challenge: Optional[bytes] = None
+        self._pending: Optional[tuple[bytes, bytes]] = None
+
+    @property
+    def status(self) -> str:
+        return "stable" if self._pending is None else "pending_verifier"
 
     def respond(self, request: AuthRequest) -> AuthMessage1:
-        if self.status != "stable":
+        if self._pending is not None:
             raise ProtocolStateError("respond() requires a stable session")
         length = self.puf.challenge_len
         challenge = derive_next_challenge(self.secret, length)
         fresh = stabilized_response(self.puf, bytes_to_bits(challenge, length),
                                     self._noise_rng, self._votes).to_bytes()
-        masked = bytes(a ^ b for a, b in zip(fresh, self.secret))
-        msg = AuthMessage1(
-            masked=masked,
-            mem_hash=hashlib.sha256(self.memory_image).digest(),
-            nonce=self._nonce_rng.bytes(NONCE_BYTES),
-            mac=b"",
-        )
-        msg = replace(msg, mac=_mac(self.secret, msg.signed_payload()))
-        self._pending_secret = fresh
-        self._pending_challenge = challenge
-        self.status = "pending_verifier"
-        return msg
+        fields = [bytes(a ^ b for a, b in zip(fresh, self.secret)),
+                  hashlib.sha256(self.memory_image).digest(),
+                  self._nonce_rng.bytes(NONCE_BYTES)]
+        mac = _mac(self.secret, _frame_fields(MSG_DEVICE_RESPONSE, fields))
+        self._pending = (fresh, challenge)
+        return AuthMessage1(*fields, mac)
 
     def confirm(self, msg2: AuthMessage2) -> None:
-        if self.status != "pending_verifier":
+        if self._pending is None:
             raise ProtocolStateError("confirm() requires a pending session")
-        expected = _mac(self._pending_secret,
-                        _confirm_payload(self._pending_challenge))
-        if not hmac.compare_digest(expected, msg2.mac):
-            self.abort()
+        fresh, challenge = self._pending
+        self._pending = None    # a failed check leaves the old secret, as abort() does
+        if not hmac.compare_digest(_mac(fresh, _confirm_payload(challenge)), msg2.mac):
             raise AuthenticationError("verifier confirmation MAC mismatch")
-        self.secret = self._pending_secret
-        self._pending_secret = None
-        self._pending_challenge = None
+        self.secret = fresh
         self.counter += 1
-        self.status = "stable"
 
     def abort(self) -> None:
         """Drop any pending state, e.g. after a lost confirmation."""
-        self._pending_secret = None
-        self._pending_challenge = None
-        self.status = "stable"
+        self._pending = None
 
 
 class VerifierSession:

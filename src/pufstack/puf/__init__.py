@@ -7,7 +7,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from ..errors import ValidationError
+from ..errors import ValidationError, require_int
 from .arbiter import ArbiterPuf, parity_features
 from .base import (Challenge, CrpBatch, PufInstance, SUPPORTED_CHALLENGE_LENGTHS,
                    challenge_matrix)
@@ -20,17 +20,16 @@ def coerce_seed(seed: Union[bytes, int, str]) -> bytes:
     """Accept raw bytes, an int, or a hex string as the 256-bit device seed."""
     if isinstance(seed, bytes):
         raw = seed
-    elif isinstance(seed, int):
-        if not 0 <= seed < 1 << 256:
-            raise ValidationError("an int device_seed must lie in [0, 2^256)")
-        raw = seed.to_bytes(32, "big")
     elif isinstance(seed, str):
         try:
             raw = bytes.fromhex(seed)
         except ValueError:
             raise ValidationError(f"device_seed {seed!r} is not a hex string") from None
     else:
-        raise ValidationError("device_seed must be bytes, int, or hex string")
+        seed = require_int(seed, "a device_seed that is not bytes or hex")
+        if not 0 <= seed < 1 << 256:
+            raise ValidationError("an int device_seed must lie in [0, 2^256)")
+        raw = seed.to_bytes(32, "big")
     if len(raw) != 32:
         raise ValidationError("device_seed must encode exactly 32 bytes")
     return raw

@@ -45,10 +45,9 @@ class ArbiterPuf(PufInstance):
         # Noise acts on the delay margin; scale it to the margin's natural
         # std (sqrt(L+1)) so noise_sigma keeps its normalized meaning.
         self._noise_gain = float(np.sqrt(challenge_len + 1))
+        # a delay race: the sign of the margin is the bit
+        self.thresholds = np.zeros(response_len)
+        self.thresholds.flags.writeable = False
 
     def evaluate_analog(self, bits_matrix: np.ndarray) -> np.ndarray:
         return (parity_features(bits_matrix) @ self.weights.T) / self._noise_gain
-
-    @property
-    def thresholds(self) -> np.ndarray:
-        return np.zeros(self.response_len)

@@ -87,12 +87,16 @@ class CrpBatch:
 class PufInstance:
     """Base class for simulated devices.
 
-    Instances are immutable after calibration and hold no per-evaluation
-    state, so they are safe to share read-only across concurrent
-    evaluators; noise enters only through the caller-supplied generator.
+    A subclass sets ``thresholds``, the (M,) per-tap quantization
+    thresholds, as a read-only array. Instances are immutable after
+    calibration, and read-only arrays enforce it for the thresholds and the
+    photonic prefix table. They hold no per-evaluation state, so they are
+    safe to share across concurrent evaluators; noise enters only through
+    the caller-supplied generator.
     """
 
     kind = "abstract"
+    thresholds: np.ndarray
 
     def __init__(self, device_seed: bytes, challenge_len: int, response_len: int,
                  noise_sigma: float = 0.02):
@@ -124,10 +128,6 @@ class PufInstance:
 
     def evaluate_analog(self, bits_matrix: np.ndarray) -> np.ndarray:
         """Noiseless analog outputs for a (B, L) matrix of challenges."""
-        raise NotImplementedError
-
-    @property
-    def thresholds(self) -> np.ndarray:
         raise NotImplementedError
 
     def evaluate(self, challenge,

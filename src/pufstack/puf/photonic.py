@@ -93,9 +93,9 @@ CALIB_SAMPLES = 256            # challenges used for creation-time calibration
 # rounding the bits depend only on noise_sigma / TARGET_MEAN, and margins
 # are in units of TARGET_MEAN.
 TARGET_MEAN = 0.2
-# Rows per _propagate call, fixed rather than a setting: a 6000-row batch
-# propagated about 1.5x faster in 512-row tiles than whole (512 to 1024
-# measured alike), and its (B, P) temporaries stay tile-sized.
+# Rows per tile that _raw propagates at once, fixed rather than a setting: a
+# 6000-row batch propagated about 1.5x faster in 512-row tiles than whole
+# (512 to 1024 measured alike), and its (B, P) temporaries stay tile-sized.
 PROPAGATE_TILE = 512
 # Leading challenge bits whose memory state m_k is tabulated at fabrication,
 # for all 2^PREFIX_BITS prefixes: 128 KB at P = 32. Each further bit doubles
@@ -340,8 +340,6 @@ class PhotonicPuf(PufInstance):
         self._kerr = np.array(params.kerr_steps(), dtype=np.int64)
 
         self.prefix_states = self._prefix_table()
-        self.gain = 1.0
-        self._thresholds = np.zeros(params.detect_count)
         self.calibrate(CALIB_SAMPLES)
 
     # -- propagation ------------------------------------------------------
@@ -415,25 +413,6 @@ class PhotonicPuf(PufInstance):
         table.flags.writeable = False
         return table
 
-    def _propagate(self, bits_matrix: np.ndarray, trace: bool = False) -> np.ndarray:
-        """Run the stage cascade and detect: the raw intensities of s_L
-        (B, M) in counts of q^2, or with ``trace`` those of every s_t
-        (B, L, M). ``bits_matrix`` must already be a validated (B, L)
-        matrix of 0/1.
-
-        Without ``trace`` the cascade starts from the tabulated
-        m_PREFIX_BITS and runs the remaining stages only.
-        """
-        p = self.params.n_paths
-        order = bits_matrix.T
-        state = np.empty((p + 2, len(bits_matrix)), dtype=np.complex128)
-        state[p] = 1
-        if trace:
-            state[:p] = 0
-            return np.stack(self._cascade(state, order, 0, trace=True), axis=1)
-        self.prefix_states.T.take(_PREFIX_WEIGHTS @ order[:PREFIX_BITS], 1, state[:p], "clip")
-        return self._cascade(state, order[PREFIX_BITS:], PREFIX_BITS)[0]
-
     def _raw(self, bits_matrix: np.ndarray) -> np.ndarray:
         """``raw_intensities`` of an already validated matrix, in a fresh
         (B, M) array that the caller may scale in place.
@@ -441,12 +420,19 @@ class PhotonicPuf(PufInstance):
         The rows are propagated in consecutive tiles of at most
         ``PROPAGATE_TILE``, each written into its rows of the one result.
         Each row propagates on its own in exact integers, so tiling moves
-        no value.
+        no value. A tile starts from its tabulated m_PREFIX_BITS and runs
+        the remaining stages only.
         """
+        p = self.params.n_paths
         out = np.empty((len(bits_matrix), len(self.detect)))
         for i in range(0, len(bits_matrix), PROPAGATE_TILE):
-            np.multiply(self._propagate(bits_matrix[i:i + PROPAGATE_TILE]), _GRID ** 2,
-                        out=out[i:i + PROPAGATE_TILE])
+            order = bits_matrix[i:i + PROPAGATE_TILE].T
+            state = np.empty((p + 2, order.shape[1]), dtype=np.complex128)
+            state[p] = 1
+            prefix = _PREFIX_WEIGHTS @ order[:PREFIX_BITS]
+            self.prefix_states.T.take(prefix, 1, state[:p], "clip")
+            raw = self._cascade(state, order[PREFIX_BITS:], PREFIX_BITS)[0]
+            np.multiply(raw, _GRID ** 2, out=out[i:i + PROPAGATE_TILE])
         return out
 
     def raw_intensities(self, bits_matrix) -> np.ndarray:
@@ -454,18 +440,18 @@ class PhotonicPuf(PufInstance):
         return self._raw(self._challenge_rows(bits_matrix))
 
     def stage_trace(self, challenge) -> np.ndarray:
-        """Per-stage noiseless intensities (L, M) of one (L,) challenge row."""
-        trace = self._propagate(self._challenge_rows(np.asarray(challenge)[None]), trace=True)
-        return trace[0] * _GRID ** 2
+        """Per-stage noiseless intensities (L, M) of one (L,) challenge row:
+        the full cascade from m_0 = 0."""
+        order = self._challenge_rows(np.asarray(challenge)[None]).T
+        p = self.params.n_paths
+        state = np.zeros((p + 2, 1), dtype=np.complex128)
+        state[p] = 1
+        return np.concatenate(self._cascade(state, order, 0, trace=True)) * _GRID ** 2
 
     def evaluate_analog(self, bits_matrix: np.ndarray) -> np.ndarray:
         analog = self._raw(bits_matrix)
         analog *= self.gain
         return analog
-
-    @property
-    def thresholds(self) -> np.ndarray:
-        return self._thresholds
 
     # -- calibration ------------------------------------------------------
 
@@ -489,5 +475,6 @@ class PhotonicPuf(PufInstance):
         total = (int(np.sum(counts >> 26)) << 26) + int(np.sum(counts & ((1 << 26) - 1)))
         self.gain = (TARGET_MEAN * raw.size
                      / math.ldexp(float(total), -2 * GRID_BITS))
-        self._thresholds = np.median(self.gain * raw, axis=0)
-        return self._thresholds
+        self.thresholds = np.median(self.gain * raw, axis=0)
+        self.thresholds.flags.writeable = False
+        return self.thresholds

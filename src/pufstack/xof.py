@@ -13,7 +13,7 @@ import hashlib
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require_int
 
 _BLOCK = 32
 
@@ -51,6 +51,7 @@ def expand_bits(seed: bytes, label: str, n_bits: int) -> np.ndarray:
 def seed_bytes(run_seed: int) -> bytes:
     """The expander seed of an integer run seed: its big-endian signed
     64-bit encoding, left-padded with zeros to 32 bytes."""
+    run_seed = require_int(run_seed, "run seed")
     if not -2 ** 63 <= run_seed < 2 ** 63:
         raise ValidationError(f"run seed {run_seed} does not fit a signed 64-bit integer")
     return run_seed.to_bytes(8, "big", signed=True).rjust(32, b"\x00")

@@ -181,6 +181,19 @@ class TestReportWire:
             AttestationRequest(2 ** 64, CHALLENGE)
 
 
+@pytest.mark.parametrize("timestamp", [1.5, 1.0, True, "1"])
+def test_timestamp_must_be_an_integer(timestamp):
+    # 1.5 used to fail later inside struct.pack, and True passed as 1
+    with pytest.raises(ValidationError):
+        AttestationRequest(timestamp, CHALLENGE)
+
+
+def test_numpy_timestamp_matches_int():
+    puf = make_puf()
+    assert (device_attest(make_request(np.uint32(42)), MEMORY, puf)
+            == device_attest(make_request(42), MEMORY, puf))
+
+
 def test_honest_elapsed_model():
     # 64-bit challenge at 5 bits/unit -> 13 units; plus 64 hash units/chunk
     assert honest_elapsed(1, 64) == 77

@@ -107,7 +107,31 @@ class TestHonestSessions:
         secret_before = device.secret
         msg1 = device.respond(verifier.request())
         unmasked = bytes(a ^ b for a, b in zip(msg1.masked, secret_before))
-        assert unmasked == device._pending_secret
+        device.confirm(verifier.check_device(msg1))
+        assert device.secret == unmasked != secret_before
+
+
+class TestPendingEpoch:
+    def test_status_follows_the_pending_epoch(self):
+        device, verifier = make_pair()
+        assert device.status == "stable"
+        msg2 = verifier.check_device(device.respond(verifier.request()))
+        assert device.status == "pending_verifier"
+        with pytest.raises(ProtocolStateError):
+            device.respond(verifier.request())
+        device.confirm(msg2)
+        assert device.status == "stable"
+        with pytest.raises(ProtocolStateError):
+            device.confirm(msg2)
+
+    def test_failed_confirm_keeps_the_old_secret(self):
+        device, verifier = make_pair()
+        secret_before = device.secret
+        device.respond(verifier.request())
+        with pytest.raises(AuthenticationError):
+            device.confirm(AuthMessage2(b"\x00" * 32))
+        assert device.status == "stable"
+        assert device.secret == secret_before and device.counter == 0
 
 
 class TestWireFormat:

@@ -96,6 +96,16 @@ class TestMetrics:
         assert run(["metrics", *paths, "--out", tmp_path / "m"]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["metrics", "sweep-filter"])
+    def test_mixed_response_lengths_exit_2(self, tmp_path, capsys, command):
+        cfg = tmp_path / "template.cfg"
+        cfg.write_text("M = 64\n")
+        short = tmp_path / "short"
+        assert run(["gen", "--count", 1, "--out", short, "--config", cfg]) == 0
+        paths = [*gen_devices(tmp_path, 1), short / "device_000.cfg"]
+        assert run([command, *paths, "--out", tmp_path / "m", "--challenges", 2]) == 2
+        assert "M = 64 and 128" in capsys.readouterr().err
+
     def test_sram_device_file_exits_2(self, tmp_path, capsys):
         paths = gen_devices(tmp_path, 2)
         kv = read_kv(paths[0])

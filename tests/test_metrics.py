@@ -219,6 +219,13 @@ def test_population_responses_shapes():
         population_responses([create_puf("arbiter", 6200, {"L": 64})], ragged)
 
 
+def test_population_responses_rejects_mixed_response_lengths():
+    # the golden stack used to die in numpy with a shape ValueError
+    pufs = [create_puf("photonic", 6300), create_puf("photonic", 6301, {"M": 64})]
+    with pytest.raises(ValidationError, match="M = 64 and 128"):
+        population_responses(pufs, np.zeros((2, 64), dtype=np.uint8))
+
+
 def test_population_responses_pinned():
     # exact integer device arithmetic: these digests hold on every machine
     pufs = [create_puf("photonic", 7100 + i) for i in range(3)]

@@ -15,8 +15,8 @@ from pufstack.metrics import population_responses
 from pufstack.protocols.attest import _response_to_challenge
 from pufstack.protocols.auth import derive_next_challenge, enroll_secret
 from pufstack.puf import (SUPPORTED_CHALLENGE_LENGTHS, ArbiterPuf, Challenge,
-                          PhotonicParams, PhotonicPuf, create_puf, parity_features,
-                          stabilized_response)
+                          PhotonicParams, PhotonicPuf, coerce_seed, create_puf,
+                          parity_features, stabilized_response)
 from pufstack.puf.photonic import (PREFIX_BITS, TARGET_MEAN, _fold_injection, cascade_bounds,
                                    phase_table)
 from pufstack.xof import bytes_to_bits, derive_rng
@@ -67,6 +67,13 @@ class TestCreation:
                 create_puf(kind, 1, cfg)
         puf = create_puf("photonic", 1, {"P": 16.0, "L": "64", "M": np.int64(16)})
         assert (puf.params.n_paths, puf.challenge_len, puf.response_len) == (16, 64, 16)
+
+    def test_rejects_bool_and_fractional_seeds(self):
+        # coerce_seed(True) used to give device seed 1
+        for seed in (True, np.True_, 1.0, 1.5):
+            with pytest.raises(ValidationError):
+                create_puf("arbiter", seed)
+        assert coerce_seed(np.uint64(7)) == coerce_seed(7) == (7).to_bytes(32, "big")
 
     def test_rejects_non_finite_device_parameters(self):
         # an infinite sigma used to build a device that failed only at its
@@ -219,6 +226,18 @@ class TestCalibration:
         assert puf.thresholds[5] == 0.0
         for c in rand_challenges(3):
             assert puf.evaluate(c).bits[5] == 1
+
+
+    @pytest.mark.parametrize("kind", ["photonic", "arbiter"])
+    def test_thresholds_are_read_only(self, kind):
+        # a write used to move a photonic device's bits: a row with 52
+        # one-bits read none after thresholds[:] = 1e9
+        puf = create_puf(kind, 19)
+        row = puf.random_challenges("read-only", 1)
+        before = puf.evaluate_many(row).bits
+        with pytest.raises(ValueError):
+            puf.thresholds[:] = 1e9
+        assert np.array_equal(puf.evaluate_many(row).bits, before)
 
 
 class TestInvariants:

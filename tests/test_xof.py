@@ -62,6 +62,16 @@ def test_seed_bytes_rejects_out_of_range(run_seed):
         seed_bytes(run_seed)
 
 
+@pytest.mark.parametrize("run_seed", [True, 1.5, 1.0])
+def test_seed_bytes_rejects_non_integers(run_seed):
+    with pytest.raises(ValidationError):
+        seed_bytes(run_seed)
+
+
+def test_seed_bytes_takes_numpy_integers():
+    assert seed_bytes(np.int64(-1)) == seed_bytes(-1)
+
+
 def test_derive_rng_reproducible():
     a = derive_rng(SEED, "rng").standard_normal(8)
     b = derive_rng(SEED, "rng").standard_normal(8)
