@@ -106,6 +106,7 @@ def _population_report(args, pufs, noise_label: str) -> MetricsReport:
 
 
 def cmd_metrics(args) -> int:
+    _at_least("--challenges", args.challenges, 1)
     _at_least("--reevals", args.reevals, 0)
     out = _outdir(args)
     pufs = _load_devices(args.devices)
@@ -141,6 +142,7 @@ DEFAULT_GRID = ("0:inf,0.01:inf,0.02:inf,0.03:inf,0.04:inf,0.05:inf,"
 
 
 def cmd_sweep_filter(args) -> int:
+    _at_least("--challenges", args.challenges, 1)
     _at_least("--reevals", args.reevals, 0)
     out = _outdir(args)
     pufs = _load_devices(args.devices)
@@ -233,6 +235,7 @@ def cmd_attack(args) -> int:
 
 def cmd_bench(args) -> int:
     _at_least("--devices", args.devices, 2)
+    _at_least("--challenges", args.challenges, 1)
     _at_least("--reevals", args.reevals, 0)
     out = _outdir(args)
     seed = seed_bytes(args.seed)

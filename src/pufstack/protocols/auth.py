@@ -9,6 +9,12 @@ proves knowledge of it by MACing the derived challenge back. Both parties
 then roll over to r_{i+1}; the verifier keeps the previous secret for one
 epoch so a lost confirmation cannot strand the device.
 
+The memory hash rejects a device whose memory changed under firmware that
+hashes it honestly, such as after a fault or an unapproved update. It does
+not reject lying firmware: the hash is the same in every session, so a
+device that replays the golden hash passes with any memory. Attestation is
+the check against a device that may lie.
+
 Wire format: the request is type(1); both replies are type(1) ||
 length-prefixed fields in declaration order (2-byte lengths) ||
 HMAC-SHA256(32). No message carries a session number: each MAC key belongs

@@ -61,23 +61,28 @@ class Challenge:
 class CrpBatch:
     """N challenge-response pairs as aligned rows.
 
-    ``challenges`` is (N, L); ``bits``, ``analog`` and ``margins`` are (N, M),
-    where ``margins`` is |analog - thresholds|, the distance of each read
-    from its quantization threshold. An integer index gives one pair, whose
-    fields are the 1-D rows.
+    ``challenges`` is (N, L); ``bits`` and ``analog`` are (N, M), and
+    ``thresholds`` is the device's read-only (M,) array they were quantized
+    against. ``margins``, |analog - thresholds|, the distance of each read
+    from its threshold, is derived when asked for, not stored. An integer
+    index gives one pair, whose fields are the 1-D rows.
     """
 
     challenges: np.ndarray
     bits: np.ndarray
     analog: np.ndarray
-    margins: np.ndarray
+    thresholds: np.ndarray
+
+    @property
+    def margins(self) -> np.ndarray:
+        return np.abs(self.analog - self.thresholds)
 
     def __len__(self) -> int:
         return len(self.challenges)
 
     def __getitem__(self, rows: Union[int, slice]) -> "CrpBatch":
         return CrpBatch(self.challenges[rows], self.bits[rows],
-                        self.analog[rows], self.margins[rows])
+                        self.analog[rows], self.thresholds)
 
     def to_bytes(self) -> bytes:
         """The response bits packed MSB first, row after row."""
@@ -168,8 +173,7 @@ class PufInstance:
         per_row = (len(mat), votes, -1)
         bits = reads.bits.reshape(per_row).sum(axis=1) * 2 > votes
         analog = reads.analog.reshape(per_row).mean(axis=1)
-        margins = analog - self.thresholds
-        return CrpBatch(mat, bits.view(np.uint8), analog, np.abs(margins, out=margins))
+        return CrpBatch(mat, bits.view(np.uint8), analog, self.thresholds)
 
     def read_out(self, challenges: np.ndarray, analog: np.ndarray,
                  noise_draw: Optional[np.random.Generator] = None) -> CrpBatch:
@@ -179,9 +183,8 @@ class PufInstance:
             analog = analog + noise_draw.normal(0.0, self.noise_sigma, size=analog.shape)
         if not np.isfinite(analog).all():
             raise ValidationError("analog response values must be finite")
-        bits = (analog >= self.thresholds).astype(np.uint8)
-        margins = analog - self.thresholds
-        return CrpBatch(challenges, bits, analog, np.abs(margins, out=margins))
+        bits = (analog >= self.thresholds).view(np.uint8)
+        return CrpBatch(challenges, bits, analog, self.thresholds)
 
     def random_challenges(self, label: str, count: int) -> np.ndarray:
         """Deterministic uniform (count, L) challenges derived from the device seed."""

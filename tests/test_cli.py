@@ -165,6 +165,18 @@ def test_count_below_minimum_exits_2(tmp_path, capsys, command, flag, value, low
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["metrics", "sweep-filter", "bench"])
+@pytest.mark.parametrize("value", [0, -4])
+def test_challenges_below_one_exits_2_and_names_flag(tmp_path, capsys, command, value):
+    # --challenges -4 once exited 2 with "population needs devices and
+    # challenges", which names no flag
+    devices = gen_devices(tmp_path, 2) if command != "bench" else []
+    out = tmp_path / "out"
+    assert run([command, *devices, "--challenges", value, "--out", out]) == 2
+    assert f"--challenges must be >= 1, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestDemos:
     def test_demo_auth_passive(self, tmp_path, capsys):
         out = tmp_path / "auth"

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pufstack.errors import ValidationError
+from pufstack.puf import challenge_matrix
 from pufstack.xof import (XofStream, bytes_to_bits, derive_rng,
                           expand, expand_bits, seed_bytes, seeded_permutation)
 
@@ -39,6 +40,32 @@ def test_labels_separate_streams():
 def test_label_rejects_nul():
     with pytest.raises(ValidationError):
         expand(SEED, "bad\x00label", 8)
+
+
+@pytest.mark.parametrize("size", [-1, -9, 1.0, True])
+def test_sizes_must_be_non_negative_integers(size):
+    # expand(-1) once returned b"" and expand_bits(-9) an empty array
+    for call in (expand, expand_bits):
+        with pytest.raises(ValidationError):
+            call(SEED, "neg", size)
+    assert expand(SEED, "neg", 0) == b""
+    assert expand_bits(SEED, "neg", 0).shape == (0,)
+
+
+def test_challenge_matrix_rejects_negative_count():
+    # this once returned a (0, 64) matrix
+    with pytest.raises(ValidationError):
+        challenge_matrix(SEED, "neg", -2, 64)
+
+
+@pytest.mark.parametrize("size", [-1, 2.0])
+def test_stream_take_rejects_bad_size_and_keeps_buffer(size):
+    # take(-1) once returned all but the last buffered byte and kept one
+    stream = XofStream(SEED, "kat")
+    head = stream.take(5)
+    with pytest.raises(ValidationError):
+        stream.take(size)
+    assert head + stream.take(95) == expand(SEED, "kat", 100)
 
 
 def test_expand_bits_roundtrip():
