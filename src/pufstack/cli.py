@@ -88,14 +88,19 @@ def _load_devices(paths) -> list:
     return [load_puf(p) for p in paths]
 
 
-def _population_report(args, pufs, noise_label: str) -> MetricsReport:
-    """Metrics of ``pufs`` on the run's shared challenges; FAR/FRR only when
-    there are noisy re-reads to give genuine distances."""
+def _population(args, pufs, noise_label: str):
+    """(golden, margins, re-reads) of ``pufs`` on the run's shared challenges."""
     seed = seed_bytes(args.seed)
     challenges = challenge_matrix(seed, "cli-challenges", args.challenges,
                                   pufs[0].challenge_len)
-    golden, _, reevals = population_responses(pufs, challenges, args.reevals,
-                                              derive_rng(seed, noise_label))
+    return population_responses(pufs, challenges, args.reevals,
+                                derive_rng(seed, noise_label))
+
+
+def _population_report(args, pufs, noise_label: str) -> MetricsReport:
+    """Metrics of ``pufs`` on the run's shared challenges; FAR/FRR only when
+    there are noisy re-reads to give genuine distances."""
+    golden, _, reevals = _population(args, pufs, noise_label)
     report = compute_metrics(golden, reevals)
     if reevals is not None:
         genuine = np.mean(reevals != golden[None], axis=2).ravel()
@@ -103,6 +108,12 @@ def _population_report(args, pufs, noise_label: str) -> MetricsReport:
                     / golden.shape[1])
         report.far, report.frr = decision_rates(genuine, impostor, args.hd_threshold)
     return report
+
+
+def _write_and_print(path: Path, kv: dict) -> None:
+    write_kv(path, kv)
+    for key, value in kv.items():
+        print(f"{key} = {value}")
 
 
 def cmd_metrics(args) -> int:
@@ -113,13 +124,11 @@ def cmd_metrics(args) -> int:
     if len(pufs) < 2:
         raise ValidationError("inter-device metrics need >= 2 device files")
     report = _population_report(args, pufs, "cli-metrics-noise")
-    write_kv(out / "metrics.kv", report.to_kv())
     with open(out / "per_bit.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bit_index", "p_one", "entropy"])
         writer.writerows(report.per_bit_rows())
-    for key, value in report.to_kv().items():
-        print(f"{key} = {value}")
+    _write_and_print(out / "metrics.kv", report.to_kv())
     _write_manifest(args, out)
     return EXIT_OK
 
@@ -145,13 +154,8 @@ def cmd_sweep_filter(args) -> int:
     _at_least("--challenges", args.challenges, 1)
     _at_least("--reevals", args.reevals, 0)
     out = _outdir(args)
-    pufs = _load_devices(args.devices)
-    seed = seed_bytes(args.seed)
-    challenges = challenge_matrix(seed, "cli-challenges", args.challenges,
-                                  pufs[0].challenge_len)
-    noise_rng = derive_rng(seed, "cli-sweep-noise")
-    golden, margins, reevals = population_responses(pufs, challenges,
-                                                    args.reevals, noise_rng)
+    golden, margins, reevals = _population(args, _load_devices(args.devices),
+                                           "cli-sweep-noise")
     rows = band_sweep(golden, margins, reevals, _parse_grid(args.grid))
     with open(out / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -170,15 +174,14 @@ def cmd_sweep_filter(args) -> int:
     return EXIT_OK
 
 
-def _scenario_from_args(args, protocol: str,
-                        honest_adversary: str) -> ScenarioConfig:
+def _scenario_from_args(args) -> ScenarioConfig:
     """The config file's scenario, if any, under the command line's
     protocol, seed, trials and adversary; the adversary defaults to the
     honest one."""
     kv = read_kv(args.config) if args.config else {}
-    kv["protocol"] = protocol
+    kv["protocol"] = args.protocol
     kv["run_seed"] = str(args.seed)
-    kv.setdefault("adversary", honest_adversary)
+    kv.setdefault("adversary", args.honest_adversary)
     if args.adversary:
         kv["adversary"] = args.adversary
     if args.trials is not None:
@@ -186,8 +189,8 @@ def _scenario_from_args(args, protocol: str,
     return ScenarioConfig.from_kv(kv)
 
 
-def _run_demo(args, protocol: str, honest_adversary: str) -> int:
-    cfg = _scenario_from_args(args, protocol, honest_adversary)
+def cmd_demo(args) -> int:
+    cfg = _scenario_from_args(args)
     report = run_scenario(cfg)
     print(f"{report.accepts}/{report.trials} accepted; "
           f"adversary successes: {report.adversary_successes}")
@@ -200,17 +203,9 @@ def _run_demo(args, protocol: str, honest_adversary: str) -> int:
         writer.writerow(["trial", "outcome", "reason", "adversarial"])
         writer.writerows(report.trial_rows)
     _write_manifest(args, out)
-    if cfg.adversary == honest_adversary and report.accepts != report.trials:
-        raise ProtocolStateError(f"honest {protocol} runs failed")
+    if cfg.adversary == args.honest_adversary and report.accepts != report.trials:
+        raise ProtocolStateError(f"honest {args.protocol} runs failed")
     return EXIT_OK
-
-
-def cmd_demo_auth(args) -> int:
-    return _run_demo(args, "auth", "passive")
-
-
-def cmd_demo_attest(args) -> int:
-    return _run_demo(args, "attest", "none")
 
 
 def cmd_attack(args) -> int:
@@ -242,9 +237,7 @@ def cmd_bench(args) -> int:
     pufs = [create_puf("photonic", expand(seed, f"bench-device-{i}", 32))
             for i in range(args.devices)]
     report = _population_report(args, pufs, "bench-noise")
-    write_kv(out / "bench.kv", report.to_kv())
-    for key, value in report.to_kv().items():
-        print(f"{key} = {value}")
+    _write_and_print(out / "bench.kv", report.to_kv())
     _write_manifest(args, out)
     return EXIT_OK
 
@@ -288,13 +281,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--adversary", default=None, choices=MODES)
-    p.set_defaults(func=cmd_demo_auth)
+    p.set_defaults(func=cmd_demo, protocol="auth", honest_adversary="passive")
 
     p = sub.add_parser("demo-attest", help="software-attestation scenario")
     common(p)
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--adversary", default=None, choices=ATTEST_ADVERSARIES)
-    p.set_defaults(func=cmd_demo_attest)
+    p.set_defaults(func=cmd_demo, protocol="attest", honest_adversary="none")
 
     p = sub.add_parser("attack", help="machine-learning modeling attack")
     common(p)

@@ -16,8 +16,12 @@ PathLike = Union[str, Path]
 
 
 def read_kv(path: PathLike) -> dict[str, str]:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text (byte {exc.start})") from None
     out: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -33,7 +37,7 @@ def read_kv(path: PathLike) -> dict[str, str]:
 
 def write_kv(path: PathLike, pairs: dict) -> None:
     lines = [f"{k} = {v}" for k, v in pairs.items()]
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def puf_to_kv(puf: PufInstance) -> dict[str, str]:

@@ -63,23 +63,17 @@ class Channel:
         mode = self.policy.mode
         if mode == "replay":
             self.harvested.append(payload)
-        if mode in ("passive", "replay"):
-            return [ChannelMessage(payload, sender, self.clock)]
-
-        if mode == "drop":
-            if self.rng.random() < self.policy.p:
+        if mode in ("drop", "bitflip") and self.rng.random() < self.policy.p:
+            if mode == "drop":
                 self._log("drop", sender)
                 return []
-            return [ChannelMessage(payload, sender, self.clock)]
-
-        # bitflip
-        if self.rng.random() < self.policy.p and payload:
-            pos = int(self.rng.integers(0, len(payload) * 8))
-            flipped = bytearray(payload)
-            flipped[pos // 8] ^= 1 << (7 - pos % 8)
-            self._log(f"bitflip@{pos}", sender)
-            return [ChannelMessage(bytes(flipped), sender, self.clock,
-                                   adversarial=True)]
+            if payload:
+                pos = int(self.rng.integers(0, len(payload) * 8))
+                flipped = bytearray(payload)
+                flipped[pos // 8] ^= 1 << (7 - pos % 8)
+                self._log(f"bitflip@{pos}", sender)
+                return [ChannelMessage(bytes(flipped), sender, self.clock,
+                                       adversarial=True)]
         return [ChannelMessage(payload, sender, self.clock)]
 
     def inject(self, payload: bytes) -> ChannelMessage:

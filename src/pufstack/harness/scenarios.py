@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+import numbers
+from collections import Counter
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -45,46 +47,44 @@ class ScenarioConfig:
     def validate(self):
         if self.protocol not in ("auth", "attest"):
             raise ValidationError("protocol must be 'auth' or 'attest'")
-        for key in ("trials", "run_seed", "memory_bytes", "chunk_bytes"):
-            require_int(getattr(self, key), key)
-        if self.trials < 1:
-            raise ValidationError("trials must be >= 1")
-        for key in ("memory_bytes", "chunk_bytes"):
-            if getattr(self, key) < 1:
-                raise ValidationError(f"{key} must be >= 1")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int":
+                # every int field but run_seed is a count
+                if require_int(value, f.name) < 1 and f.name != "run_seed":
+                    raise ValidationError(f"{f.name} must be >= 1")
+            elif f.type == "float" and (isinstance(value, bool)
+                                        or not isinstance(value, numbers.Real)
+                                        or not math.isfinite(value)):
+                raise ValidationError(f"{f.name} must be a finite number, not {value!r}")
         if self.noise_sigma < 0:
             raise ValidationError("noise_sigma must be >= 0")
         if not 0 <= self.adversary_p <= 1:
             raise ValidationError("adversary_p must lie in [0, 1]")
-        if not (math.isfinite(self.budget_factor) and self.budget_factor > 0):
-            raise ValidationError("budget_factor must be finite and > 0")
+        if self.budget_factor <= 0:
+            raise ValidationError("budget_factor must be > 0")
         modes = MODES if self.protocol == "auth" else ATTEST_ADVERSARIES
         if self.adversary not in modes:
             raise ValidationError(f"{self.protocol} adversary must be one of {modes}, "
                                   f"not {self.adversary!r}")
 
     def to_kv(self) -> dict[str, str]:
-        return {k: str(getattr(self, k)) for k in (
-            "protocol", "adversary", "adversary_p", "trials", "run_seed",
-            "noise_sigma", "memory_bytes", "chunk_bytes", "budget_factor")}
+        return {f.name: str(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
     def from_kv(cls, kv: dict[str, str]) -> "ScenarioConfig":
-        known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-        unknown = set(kv) - known
+        casts = {f.name: {"int": int, "float": float}.get(f.type, str)
+                 for f in fields(cls)}
+        unknown = set(kv) - set(casts)
         if unknown:
             raise ValidationError(f"unknown scenario keys: {sorted(unknown)}")
-        casts = {"int": int, "float": float}
         kwargs: dict = {}
         for key, value in kv.items():
-            cast = casts.get(cls.__dataclass_fields__[key].type, str)
             try:
-                kwargs[key] = cast(value)
-                if cast is float and not math.isfinite(kwargs[key]):
-                    raise ValueError
+                kwargs[key] = casts[key](value)
             except ValueError:
-                raise ValidationError(
-                    f"scenario value {key} = {value!r} is not a finite {cast.__name__}") from None
+                raise ValidationError(f"scenario value {key} = {value!r} is not "
+                                      f"a valid {casts[key].__name__}") from None
         cfg = cls(**kwargs)
         cfg.validate()
         return cfg
@@ -95,7 +95,7 @@ class ScenarioReport:
     protocol: str
     trials: int
     accepts: int = 0
-    rejects: dict[str, int] = field(default_factory=dict)
+    rejects: Counter[str] = field(default_factory=Counter)
     adversary_attempts: int = 0
     adversary_successes: int = 0
     adversary_actions: int = 0
@@ -109,7 +109,7 @@ class ScenarioReport:
             self.accepts += 1
             self.adversary_successes += adversarial
         else:
-            _bump(self.rejects, reason)
+            self.rejects[reason] += 1
         self.trial_rows.append((trial, "accept" if accepted else "reject",
                                 reason or "", adversarial))
 
@@ -127,10 +127,6 @@ class ScenarioReport:
         if self.secrets_in_sync is not None:
             kv["secrets_in_sync"] = str(self.secrets_in_sync)
         return kv
-
-
-def _bump(d: dict[str, int], key: str):
-    d[key] = d.get(key, 0) + 1
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioReport:
@@ -169,10 +165,9 @@ def _run_auth(config: ScenarioConfig) -> ScenarioReport:
                 try:
                     verifier.check_device(AuthMessage1.from_bytes(injected.payload))
                 except (AuthenticationError, FormatError):
-                    _bump(report.rejects, "ReplayRejected")
+                    report.rejects["ReplayRejected"] += 1
                 else:
                     report.adversary_successes += 1
-                    _bump(report.rejects, "ReplayAccepted")
 
     report.adversary_actions = len(channel.log)
     report.secrets_in_sync = (device.secret == verifier.secret
@@ -182,29 +177,23 @@ def _run_auth(config: ScenarioConfig) -> ScenarioReport:
 
 def _auth_trial(device: DeviceSession, verifier: VerifierSession,
                 channel: Channel) -> tuple[bool, Optional[str], bool]:
-    """One session through the channel: (accepted, reject reason, adversarial)."""
+    """One session through the channel: (accepted, reject reason, adversarial).
+    Each leg produces a message from the one last received, sends it and
+    parses what arrives; a drop on any leg ends the session."""
+    legs = ((lambda _: verifier.request(), "verifier", AuthRequest.from_bytes),
+            (device.respond, "device", AuthMessage1.from_bytes),
+            (verifier.check_device, "verifier", AuthMessage2.from_bytes))
     adversarial = False
+    received = None
     try:
-        deliv = channel.transmit(verifier.request().to_bytes(), "verifier")
-        if not deliv:
-            return False, "Drop", False
-        adversarial |= deliv[0].adversarial
-        request = AuthRequest.from_bytes(deliv[0].payload)
-
-        msg1 = device.respond(request)
-        deliv = channel.transmit(msg1.to_bytes(), "device")
-        if not deliv:
-            device.abort()
-            return False, "Drop", False
-        adversarial |= deliv[0].adversarial
-        msg2 = verifier.check_device(AuthMessage1.from_bytes(deliv[0].payload))
-
-        deliv = channel.transmit(msg2.to_bytes(), "verifier")
-        if not deliv:
-            device.abort()
-            return False, "Drop", False
-        adversarial |= deliv[0].adversarial
-        device.confirm(AuthMessage2.from_bytes(deliv[0].payload))
+        for produce, sender, parse in legs:
+            delivered = channel.transmit(produce(received).to_bytes(), sender)
+            if not delivered:
+                device.abort()
+                return False, "Drop", False
+            adversarial |= delivered[0].adversarial
+            received = parse(delivered[0].payload)
+        device.confirm(received)
         return True, None, adversarial
     except tuple(_REJECT_REASONS) as exc:
         device.abort()

@@ -38,12 +38,9 @@ class MetricsReport:
             "uniqueness": repr(self.uniqueness),
             "mean_alias_entropy": repr(self.mean_alias_entropy),
         }
-        if self.reliability is not None:
-            kv["reliability"] = repr(self.reliability)
-        if self.far is not None:
-            kv["far"] = repr(self.far)
-        if self.frr is not None:
-            kv["frr"] = repr(self.frr)
+        for name in ("reliability", "far", "frr"):
+            if getattr(self, name) is not None:
+                kv[name] = repr(getattr(self, name))
         return kv
 
     def per_bit_rows(self):

@@ -53,9 +53,7 @@ def expand(seed: bytes, label: str, n_bytes: int) -> bytes:
 def expand_bits(seed: bytes, label: str, n_bits: int) -> np.ndarray:
     """Derive ``n_bits`` bits as a uint8 array, most-significant bit first."""
     n_bits = _size(n_bits, "bit count")
-    raw = expand(seed, label, (n_bits + 7) // 8)
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
-    return bits[:n_bits]
+    return bytes_to_bits(expand(seed, label, (n_bits + 7) // 8), n_bits)
 
 
 def seed_bytes(run_seed: int) -> bytes:
@@ -125,6 +123,9 @@ def seeded_permutation(seed: bytes, label: str, n: int) -> np.ndarray:
 
 
 def bytes_to_bits(raw: bytes, n_bits: int) -> np.ndarray:
+    """The first ``n_bits`` bits of ``raw`` as a uint8 array, most-significant
+    bit first."""
+    n_bits = _size(n_bits, "bit count")
     bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
     if len(bits) < n_bits:
         raise ValidationError("not enough bytes for requested bit count")

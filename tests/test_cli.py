@@ -121,6 +121,19 @@ class TestMetrics:
         assert "'sram'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["metrics", "gen", "demo-auth"])
+def test_non_utf8_file_exits_2_and_names_path(tmp_path, capsys, command):
+    # a device or config file that is not UTF-8 text once ended in a
+    # UnicodeDecodeError traceback and exit 1
+    binary = tmp_path / "bin.cfg"
+    binary.write_bytes(b"\xff\xfek\x00=\x001\x00")
+    argv = {"metrics": [binary, binary], "gen": ["--config", binary],
+            "demo-auth": ["--config", binary]}[command]
+    assert run([command, *argv, "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert str(binary) in err and "UTF-8" in err
+
+
 class TestSweepFilter:
     def test_sweep_csv(self, tmp_path):
         paths = gen_devices(tmp_path)

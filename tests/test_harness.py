@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -308,13 +309,70 @@ class TestScenarios:
         with pytest.raises(ValidationError, match="budget_factor"):
             run_scenario(config)
 
+    @pytest.mark.parametrize("key, value", [
+        ("budget_factor", True), ("noise_sigma", float("nan")),
+        ("noise_sigma", float("inf")), ("noise_sigma", "0.1"),
+        ("adversary_p", float("inf"))],
+        ids=["budget_factor-True", "noise_sigma-nan", "noise_sigma-inf",
+             "noise_sigma-str", "adversary_p-inf"])
+    def test_config_rejects_non_finite_or_non_numeric_float(self, key, value):
+        # an attest run under noise_sigma = nan once accepted
+        config = ScenarioConfig(protocol="attest", adversary="none", trials=1,
+                                **{key: value})
+        with pytest.raises(ValidationError, match=key):
+            run_scenario(config)
+
     def test_config_kv_roundtrip(self):
-        cfg = ScenarioConfig(protocol="attest", adversary="tamper", trials=7,
-                             run_seed=3, chunk_bytes=2048)
+        cfg = ScenarioConfig(protocol="attest", adversary="tamper", adversary_p=0.25,
+                             trials=7, run_seed=-3, noise_sigma=0.5,
+                             memory_bytes=4096, chunk_bytes=2048, budget_factor=2.5)
+        defaults = ScenarioConfig()
+        assert all(getattr(cfg, f.name) != getattr(defaults, f.name)
+                   for f in dataclasses.fields(cfg))
         back = ScenarioConfig.from_kv(cfg.to_kv())
         assert back == cfg
         with pytest.raises(ValidationError):
             ScenarioConfig.from_kv({"bogus": "1"})
+
+    @pytest.mark.parametrize("leg", [0, 1, 2])
+    def test_auth_trial_drop_on_any_leg_aborts(self, leg):
+        class DropLeg(Channel):
+            def transmit(self, payload, sender):
+                delivered = super().transmit(payload, sender)
+                return [] if self.clock == leg + 1 else delivered
+
+        puf = create_puf("photonic", 5, {"noise_sigma": 0.0})
+        secret = enroll_secret(puf)
+        device = DeviceSession(puf, secret, nonce_rng=np.random.default_rng(0))
+        verifier = VerifierSession(secret, golden_memory_hash=hashlib.sha256(b"").digest())
+        trial = _auth_trial(device, verifier, DropLeg(AdversaryPolicy()))
+        assert trial == (False, "Drop", False)
+        assert device.status == "stable"
+        assert device.secret == secret
+        if leg < 2:
+            assert (verifier.secret, verifier.previous) == (secret, None)
+        else:
+            # the verifier rolled on message 1; the old secret recovers the device
+            assert verifier.secret != secret
+            assert verifier.previous == secret
+
+    def test_accepted_replay_is_a_success_not_a_reject(self, monkeypatch):
+        # a verifier that lets a seen nonce through: each replay it accepts
+        # once also landed in rejects as ReplayAccepted
+        check_device = VerifierSession.check_device
+
+        def fail_open(self, msg1):
+            try:
+                return check_device(self, msg1)
+            except ReplayError:
+                return None
+        monkeypatch.setattr(VerifierSession, "check_device", fail_open)
+        report = run_scenario(ScenarioConfig(adversary="replay", trials=5))
+        assert report.accepts == 5
+        assert report.adversary_successes > 0
+        assert report.rejects == {"ReplayRejected": report.adversary_attempts
+                                  - report.adversary_successes}
+        assert "reject_ReplayAccepted" not in report.to_kv()
 
     @pytest.mark.parametrize("error, reason", [
         (ReplayError, "Replay"), (AuthenticationError, "AuthFailure"),

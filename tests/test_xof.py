@@ -44,12 +44,16 @@ def test_label_rejects_nul():
 
 @pytest.mark.parametrize("size", [-1, -9, 1.0, True])
 def test_sizes_must_be_non_negative_integers(size):
-    # expand(-1) once returned b"" and expand_bits(-9) an empty array
+    # expand(-1) once returned b"" and expand_bits(-9) an empty array, and
+    # bytes_to_bits(b"\xff\x00", -3) returned 13 bits
     for call in (expand, expand_bits):
         with pytest.raises(ValidationError):
             call(SEED, "neg", size)
+    with pytest.raises(ValidationError):
+        bytes_to_bits(b"\xff\x00", size)
     assert expand(SEED, "neg", 0) == b""
     assert expand_bits(SEED, "neg", 0).shape == (0,)
+    assert bytes_to_bits(b"\xff", 0).shape == (0,)
 
 
 def test_challenge_matrix_rejects_negative_count():
