@@ -28,18 +28,32 @@ NONCE_BYTES = 12
 TAG_BYTES = 16
 
 
-def wipe(buf: bytearray) -> None:
-    """Overwrite ``buf`` with zeros in place."""
+def wipe(buf) -> None:
+    """Overwrite the writable bytes-like ``buf`` with zeros in place."""
     np.frombuffer(buf, dtype=np.uint8).fill(0)
+
+
+def empty_buffer(n: int) -> memoryview:
+    """A writable ``n``-byte buffer whose contents are unspecified, for a
+    writer that sets every byte; its byte 4 sits on an 8-byte boundary.
+
+    The plaintext schemas of ``netservice`` put their float64 data at
+    offsets that are 4 (mod 8), so in such a buffer every weight block is
+    an aligned array: an unaligned (256, 256) layer makes ``w @ x`` leave
+    the BLAS path and run about 2x slower.
+    """
+    words = np.empty((n + 11) // 8, dtype=np.float64)   # 8-byte aligned
+    return words.data.cast("B")[4:4 + n]
 
 
 @dataclass(frozen=True)
 class CipheredBlob:
     """A nonce and the AEAD output under it, ciphertext || tag, held as the
-    one buffer the cipher wrote so that opening it copies nothing."""
+    one read-only buffer the cipher wrote so that opening it copies
+    nothing."""
 
     nonce: bytes
-    sealed: bytes
+    sealed: bytes | memoryview
 
     def __post_init__(self):
         if len(self.nonce) != NONCE_BYTES:
@@ -90,16 +104,26 @@ class AeadBox:
         return os.urandom(NONCE_BYTES)
 
     def seal(self, plaintext: bytes, aad: bytes = b"") -> CipheredBlob:
+        """Encrypt the bytes-like ``plaintext`` straight into the blob's
+        buffer, which nothing zero-fills first."""
         cipher = self._live_cipher()
         nonce = self._next_nonce()
-        return CipheredBlob(nonce, cipher.encrypt(nonce, plaintext, aad))
+        sealed = empty_buffer(len(plaintext) + TAG_BYTES)
+        cipher.encrypt_into(nonce, plaintext, aad, sealed)
+        return CipheredBlob(nonce, sealed.toreadonly())
 
-    def open(self, blob: CipheredBlob, aad: bytes = b"") -> bytearray:
-        """The plaintext, in a new buffer that the caller owns and can
-        ``wipe``. A blob that fails authentication raises ``TamperError``,
-        and the unauthenticated plaintext already written is wiped first."""
+    def open(self, blob: CipheredBlob, aad: bytes = b"") -> memoryview:
+        """The plaintext, in a new writable buffer that the caller owns and
+        must ``wipe`` once it is done with it.
+
+        The buffer comes from ``empty_buffer``: the cipher writes every byte,
+        so nothing is zero-filled first, and plaintext byte 4 sits on an
+        8-byte boundary, so a decoded network's weight blocks are aligned
+        views of it. A blob that fails authentication raises
+        ``TamperError``, and the buffer is wiped first.
+        """
         cipher = self._live_cipher()
-        plain = bytearray(len(blob.sealed) - TAG_BYTES)
+        plain = empty_buffer(len(blob.sealed) - TAG_BYTES)
         try:
             cipher.decrypt_into(blob.nonce, blob.sealed, aad, plain)
         except InvalidTag as exc:

@@ -33,6 +33,11 @@ class SecretKey:
     __slots__ = ("_material",)
 
     def __init__(self, material: bytes):
+        # a copy: a caller's bytearray must not be able to change the key
+        try:
+            material = bytes(memoryview(material))
+        except TypeError:
+            raise ValidationError("secret key must be a bytes-like object") from None
         if len(material) != KEY_BYTES:
             raise ValidationError("secret key must be 16 bytes")
         self._material = material

@@ -132,7 +132,7 @@ class TestNetworkCodec:
         with pytest.raises(FormatError):
             decode_network(b"")
         with pytest.raises(FormatError):
-            decode_network(encode_network([np.eye(3)]) + b"\x00")
+            decode_network(bytes(encode_network([np.eye(3)])) + b"\x00")
         with pytest.raises(FormatError):
             decode_network((1).to_bytes(4, "big") + (2).to_bytes(4, "big")
                            + (2).to_bytes(4, "big") + b"\x00" * 8)  # truncated
@@ -145,6 +145,15 @@ class TestNetworkCodec:
         with pytest.raises(FormatError):
             # layer shapes that cannot chain: (2,3) then (2,4)
             decode_network(encode_network([np.zeros((2, 3)), np.zeros((2, 4))]))
+        # layers with no rows or no columns: they chain, and would answer
+        # [] or [0, 0] to every input
+        for shapes in ([(0, 3)], [(0, 3), (2, 0)]):
+            with pytest.raises(FormatError, match="no rows or no columns"):
+                encode_network([np.ones(shape) for shape in shapes])
+            header = struct.pack(">I", len(shapes))
+            with pytest.raises(FormatError, match="no rows or no columns"):
+                decode_network(bytearray(header + b"".join(
+                    struct.pack(">II", *shape) for shape in shapes)))
 
     def test_partial_float_rejected(self):
         # a float64 block cut to a length that is not a multiple of 8 bytes
@@ -269,7 +278,13 @@ class TestSecureAccelerator:
         out = accel.open_output(accel.execute_network(accel.seal_input(np.ones(2))))
         assert np.array_equal(out, [6.0, 6.0])
         assert len(opened) == 3 and len(sealed) == 3
-        for buf in opened + sealed:
+        # the opened network is the weight storage: each layer is an
+        # aligned, native, C-contiguous view of it until close()
+        network = opened[0]
+        for w in accel._layers:
+            assert np.shares_memory(w, np.frombuffer(network, dtype=np.uint8))
+            assert w.flags.aligned and w.flags.c_contiguous and w.dtype.isnative
+        for buf in opened[1:] + sealed:
             assert buf == bytes(len(buf))
         # a config that authenticates but does not decode (a trailing
         # float after its one 1 x 1 layer) is wiped too
@@ -277,6 +292,26 @@ class TestSecureAccelerator:
         with pytest.raises(FormatError):
             accel.load_network(accel._box.seal(config, aad=_NET_AAD))
         assert opened[-1] == bytes(len(opened[-1]))
+        assert network != bytes(len(network))
+        accel.close()
+        assert network == bytes(len(network))
+
+    def test_reload_wipes_whole_previous_buffer(self, monkeypatch):
+        opened = []
+        real_open = AeadBox.open
+
+        def recording_open(box, blob, aad=b""):
+            opened.append(real_open(box, blob, aad))
+            return opened[-1]
+
+        monkeypatch.setattr(AeadBox, "open", recording_open)
+        accel = self._accel()
+        accel.load_network(accel.seal_network([np.full((2, 3), 3.0), np.eye(2)]))
+        previous = opened[0]
+        assert previous[:4] == struct.pack(">I", 2)
+        accel.load_network(accel.seal_network([np.eye(3)]))
+        assert previous == bytes(len(previous))
+        assert opened[1] != bytes(len(opened[1]))
 
     def test_unauthenticated_plaintext_wiped(self):
         box = fresh_box()

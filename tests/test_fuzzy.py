@@ -166,6 +166,20 @@ class TestSecretKeyHygiene:
         assert key == clone
         assert key != object()
 
+    @pytest.mark.parametrize("material", [
+        "0123456789abcdef", list(range(16)), 16, bytes(15), bytes(17)])
+    def test_rejects_anything_but_16_bytes(self, material):
+        with pytest.raises(ValidationError):
+            SecretKey(material)
+
+    def test_material_is_copied(self):
+        from pufstack.keys.aead import AeadBox
+        material = bytearray(range(16))
+        key = SecretKey(material)
+        blob = AeadBox(key).seal(b"weights")
+        material[0] ^= 0x01
+        assert AeadBox(key).open(blob) == b"weights"
+
     def test_helper_does_not_determine_key(self):
         # XOR-ing the helper with a guessed all-zero response decodes to a
         # different message than the enrolled one with overwhelming odds
