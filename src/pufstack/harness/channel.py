@@ -8,6 +8,7 @@ success to a concrete action.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -26,8 +27,10 @@ class AdversaryPolicy:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValidationError(f"adversary mode must be one of {MODES}")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValidationError("adversary probability must lie in [0, 1]")
+        if (isinstance(self.p, bool) or not isinstance(self.p, numbers.Real)
+                or not 0.0 <= self.p <= 1.0):
+            raise ValidationError(f"adversary probability must be a number in [0, 1], "
+                                  f"not {self.p!r}")
 
 
 @dataclass

@@ -95,10 +95,13 @@ class XofStream:
         return out
 
     def randbelow(self, bound: int) -> int:
-        """Uniform integer in [0, bound) via 4-byte rejection sampling."""
-        if bound <= 0:
-            raise ValidationError("randbelow bound must be positive")
+        """Uniform integer in [0, bound) via 4-byte rejection sampling, for
+        an integer bound in [1, 2^32]: a larger one would leave no 4-byte
+        value to accept."""
+        bound = require_int(bound, "randbelow bound")
         span = 1 << 32
+        if not 0 < bound <= span:
+            raise ValidationError(f"randbelow bound must lie in [1, 2**32], got {bound}")
         limit = span - span % bound
         while True:
             v = int.from_bytes(self.take(4), "big")

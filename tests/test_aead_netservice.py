@@ -89,6 +89,17 @@ class TestAeadBox:
         with pytest.raises(FormatError, match="nonce"):
             CipheredBlob(b"\x00" * length, b"\x00" * 16)
 
+    @pytest.mark.parametrize("nonce, sealed", [
+        ("n" * NONCE_BYTES, b"\x00" * TAG_BYTES),
+        (list(range(NONCE_BYTES)), b"\x00" * TAG_BYTES),
+        (b"\x00" * NONCE_BYTES, "t" * TAG_BYTES),
+        (b"\x00" * NONCE_BYTES, None),
+    ], ids=["str-nonce", "list-nonce", "str-payload", "no-payload"])
+    def test_blob_parts_must_be_bytes_like(self, nonce, sealed):
+        # a 12-character str nonce was accepted and failed only in to_bytes
+        with pytest.raises(FormatError, match="bytes-like"):
+            CipheredBlob(nonce, sealed)
+
     def test_zeroized_key_rejected(self):
         key = SecretKey(bytes(range(16)))
         key.zeroize()
@@ -115,6 +126,62 @@ class TestAeadBox:
             sibling.open(blob)
 
 
+def _three_layer_parts():
+    # the 1.5 MB network of the key-service workload, as seal_network
+    # streams it: a count header, then each layer's shape and weights
+    rng = np.random.default_rng(7)
+    layers = [rng.normal(size=(256, 256)) for _ in range(3)]
+    parts = [struct.pack("<I", 3)]
+    for w in layers:
+        parts += [struct.pack("<II", *w.shape), w]
+    return parts
+
+
+class TestStreamedSeal:
+    """A list plaintext is sealed as the concatenation of its parts."""
+
+    @pytest.mark.parametrize("parts", [
+        [],
+        [b""],
+        [b"", b"", b""],
+        [b"a"],
+        [b"a", b"b", b"c"],
+        [b"", b"x" * 17, b"", b"y"],
+        [b"x" * 15, b"y" * 16, b"z" * 31, b"w" * 33],
+        [bytearray(b"q" * 100), memoryview(b"r" * 7), np.arange(5, dtype=np.float64)],
+        "network",
+    ], ids=["none", "empty", "empties", "one-byte", "one-byte-each", "mixed",
+            "not-multiple-of-16", "buffer-types", "network"])
+    def test_parts_seal_as_joined(self, parts, monkeypatch):
+        if parts == "network":
+            parts = _three_layer_parts()
+        joined = b"".join(memoryview(part).cast("B") for part in parts)
+        monkeypatch.setattr(AeadBox, "_next_nonce", lambda box: b"\x07" * NONCE_BYTES)
+        box = fresh_box()
+        streamed = box.seal(parts, aad=b"ctx")
+        one_shot = box.seal(joined, aad=b"ctx")
+        assert streamed == one_shot
+        assert bytes(streamed.sealed) == AESGCM(bytes(range(16))).encrypt(
+            b"\x07" * NONCE_BYTES, joined, b"ctx")
+        assert box.open(streamed, aad=b"ctx") == joined
+        box.close()
+        with pytest.raises(ProtocolStateError):
+            box.seal(parts)
+
+    def test_parts_nonce_random_per_seal(self):
+        box = fresh_box()
+        nonces = {box.seal([b"ab", b"cd"]).nonce for _ in range(50)}
+        assert len(nonces) == 50
+
+    def test_sibling_zeroized_key_refuses_parts(self):
+        key = SecretKey(bytes(range(16)))
+        box, sibling = AeadBox(key), AeadBox(key)
+        sibling.seal([b"payload"])
+        box.close()
+        with pytest.raises(ProtocolStateError):
+            sibling.seal([b"payload"])
+
+
 class TestNetworkCodec:
     def test_roundtrip(self):
         rng = np.random.default_rng(0)
@@ -134,8 +201,8 @@ class TestNetworkCodec:
         with pytest.raises(FormatError):
             decode_network(bytes(encode_network([np.eye(3)])) + b"\x00")
         with pytest.raises(FormatError):
-            decode_network((1).to_bytes(4, "big") + (2).to_bytes(4, "big")
-                           + (2).to_bytes(4, "big") + b"\x00" * 8)  # truncated
+            decode_network((1).to_bytes(4, "little") + (2).to_bytes(4, "little")
+                           + (2).to_bytes(4, "little") + b"\x00" * 8)  # truncated
         with pytest.raises(FormatError):
             encode_network([])
         with pytest.raises(FormatError):
@@ -150,18 +217,18 @@ class TestNetworkCodec:
         for shapes in ([(0, 3)], [(0, 3), (2, 0)]):
             with pytest.raises(FormatError, match="no rows or no columns"):
                 encode_network([np.ones(shape) for shape in shapes])
-            header = struct.pack(">I", len(shapes))
+            header = struct.pack("<I", len(shapes))
             with pytest.raises(FormatError, match="no rows or no columns"):
                 decode_network(bytearray(header + b"".join(
-                    struct.pack(">II", *shape) for shape in shapes)))
+                    struct.pack("<II", *shape) for shape in shapes)))
 
     def test_partial_float_rejected(self):
         # a float64 block cut to a length that is not a multiple of 8 bytes
         with pytest.raises(FormatError):
-            decode_vector((1).to_bytes(4, "big") + b"\x00" * 5)
+            decode_vector((1).to_bytes(4, "little") + b"\x00" * 5)
         with pytest.raises(FormatError):
-            decode_network((1).to_bytes(4, "big") + (1).to_bytes(4, "big")
-                           + (2).to_bytes(4, "big") + b"\x00" * 12)
+            decode_network((1).to_bytes(4, "little") + (1).to_bytes(4, "little")
+                           + (2).to_bytes(4, "little") + b"\x00" * 12)
 
 
 class TestSecureAccelerator:
@@ -274,7 +341,8 @@ class TestSecureAccelerator:
         monkeypatch.setattr(AeadBox, "open", recording_open)
         monkeypatch.setattr(AeadBox, "seal", recording_seal)
         accel = self._accel()
-        accel.load_network(accel.seal_network([np.full((2, 2), 3.0)]))
+        layer = np.full((2, 2), 3.0)
+        accel.load_network(accel.seal_network([layer]))
         out = accel.open_output(accel.execute_network(accel.seal_input(np.ones(2))))
         assert np.array_equal(out, [6.0, 6.0])
         assert len(opened) == 3 and len(sealed) == 3
@@ -284,17 +352,59 @@ class TestSecureAccelerator:
         for w in accel._layers:
             assert np.shares_memory(w, np.frombuffer(network, dtype=np.uint8))
             assert w.flags.aligned and w.flags.c_contiguous and w.dtype.isnative
-        for buf in opened[1:] + sealed:
+        # the network was sealed from its parts: the caller's float64 layer
+        # itself, untouched, and headers that are wiped once it is sealed
+        header, shape, block = sealed[0]
+        assert block is layer and np.all(layer == 3.0)
+        for buf in [header, shape] + opened[1:] + sealed[1:]:
             assert buf == bytes(len(buf))
         # a config that authenticates but does not decode (a trailing
         # float after its one 1 x 1 layer) is wiped too
-        config = struct.pack(">III2d", 1, 1, 1, 3.0, 3.0)
-        with pytest.raises(FormatError):
+        config = struct.pack("<III2d", 1, 1, 1, 3.0, 3.0)
+        with pytest.raises(FormatError, match="trailing"):
             accel.load_network(accel._box.seal(config, aad=_NET_AAD))
         assert opened[-1] == bytes(len(opened[-1]))
         assert network != bytes(len(network))
         accel.close()
         assert network == bytes(len(network))
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: rng.normal(size=(5, 3)),                        # float64, C
+        lambda rng: rng.integers(-8, 9, size=(5, 3)),                # int64
+        lambda rng: rng.normal(size=(3, 5)).T,                       # transposed
+        lambda rng: np.asfortranarray(rng.normal(size=(5, 3))),      # Fortran
+        lambda rng: rng.normal(size=(5, 3)).astype(np.float32),      # float32
+        lambda rng: rng.normal(size=(5, 3)).astype(">f8"),           # big-endian
+    ], ids=["f8", "int", "transposed", "fortran", "f4", "be-f8"])
+    def test_caller_layers_never_written(self, make, monkeypatch):
+        rng = np.random.default_rng(6)
+        layers = [make(rng), rng.normal(size=(2, 5))]
+        before = [w.copy() for w in layers]
+        sealed = []
+        real_seal = AeadBox.seal
+
+        def recording_seal(box, plaintext, aad=b""):
+            sealed.append(plaintext)
+            return real_seal(box, plaintext, aad)
+
+        monkeypatch.setattr(AeadBox, "seal", recording_seal)
+        accel = self._accel()
+        blob = accel.seal_network(layers)
+        for w, b in zip(layers, before):
+            assert w.dtype == b.dtype and w.tobytes() == b.tobytes()
+        # every part is a caller layer streamed as it is, or a buffer made
+        # for the seal (a header or a conversion copy), which is wiped
+        (parts,) = sealed
+        assert len(parts) == 1 + 2 * len(layers)
+        streamed = [part for part in parts if any(part is w for w in layers)]
+        assert len(streamed) == (2 if layers[0].dtype == "<f8"
+                                 and layers[0].flags.c_contiguous else 1)
+        for part in parts:
+            if not any(part is w for w in layers):
+                assert np.all(np.frombuffer(part, dtype=np.uint8) == 0)
+        accel.load_network(blob)
+        for w, b in zip(accel._layers, before):
+            assert np.array_equal(w, b)
 
     def test_reload_wipes_whole_previous_buffer(self, monkeypatch):
         opened = []
@@ -308,7 +418,7 @@ class TestSecureAccelerator:
         accel = self._accel()
         accel.load_network(accel.seal_network([np.full((2, 3), 3.0), np.eye(2)]))
         previous = opened[0]
-        assert previous[:4] == struct.pack(">I", 2)
+        assert previous[:4] == struct.pack("<I", 2)
         accel.load_network(accel.seal_network([np.eye(3)]))
         assert previous == bytes(len(previous))
         assert opened[1] != bytes(len(opened[1]))
@@ -353,11 +463,11 @@ class TestWireFormatPinned:
 
     def test_encode_network_frozen(self):
         assert _sha(encode_network(_pinned_layers())) == (
-            "6aca3a9a5b628e2fd067421059fbcf3a2fcb10d02c4089be99cf4fa44b2aa890")
+            "5e0a5859d042433f26bf9e3160ba999123cb4cf5d8045b67a8cc41171854a1c4")
 
     def test_encode_vector_frozen(self):
         assert _sha(encode_vector(_PINNED_VECTOR)) == (
-            "7699e640b34d6843bd85fd55d794f290e9bdeac7af624ef932955275003b0623")
+            "a67ceb4340add97874379b1c6192db4b10140ec905cda8e450ff801ebb1a35dd")
 
     def test_sealed_blobs_frozen(self, monkeypatch):
         # nonces are random; pin the layout under nonces 0, 1, ...
@@ -368,9 +478,9 @@ class TestWireFormatPinned:
         network = accel.seal_network(_pinned_layers()).to_bytes()
         vector = accel.seal_input(_PINNED_VECTOR).to_bytes()
         assert _sha(network) == (
-            "6dfaccb484780d3f8783c2051aa4d026be99b2c43a72220408bb2b7358b79015")
+            "d6452e7dc46fe873896a6df6db4c4aaa7a41772f5b60d5c85d214d685ac37947")
         assert _sha(vector) == (
-            "3068d3d647ebb84565df05e3a214f5ee95db7dd99e65378d990e400678c301c3")
+            "91171284e06c4bea6b5f964452ea8a01eec35673e7a9aa54fa8a647953907056")
         cipher = AESGCM(bytes(range(16)))
         for i, (raw, plain, aad) in enumerate((
                 (network, encode_network(_pinned_layers()), _NET_AAD),

@@ -83,6 +83,12 @@ class TestChannel:
             AdversaryPolicy(mode="jam")
         with pytest.raises(ValidationError):
             AdversaryPolicy(mode="drop", p=1.5)
+
+    @pytest.mark.parametrize("p", [True, False, np.True_, "0.5", None, float("nan")])
+    def test_policy_probability_must_be_a_number(self, p):
+        # a bool passed as 1 or 0, and a str raised a bare TypeError
+        with pytest.raises(ValidationError, match="probability"):
+            AdversaryPolicy(mode="bitflip", p=p)
         with pytest.raises(ValidationError):
             AdversaryPolicy(mode="modify")
 

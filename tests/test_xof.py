@@ -116,6 +116,20 @@ def test_stream_randbelow_in_range():
     assert len(set(draws)) == 10
 
 
+def test_stream_randbelow_bound_checked():
+    # above 2^32 no 4-byte value is accepted, so the draw never returned;
+    # a bool passed as the bound 1
+    stream = XofStream(SEED, "stream")
+    for bad in (0, -3, 2 ** 32 + 1, 2 ** 40):
+        with pytest.raises(ValidationError, match="bound"):
+            stream.randbelow(bad)
+    for bad in (True, False, 3.0, "7"):
+        with pytest.raises(ValidationError, match="integer"):
+            stream.randbelow(bad)
+    assert 0 <= stream.randbelow(2 ** 32) < 2 ** 32
+    assert stream.randbelow(np.int64(1)) == 0
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=1, max_value=200), st.binary(min_size=4, max_size=16))
 def test_permutation_covers_all_indices(n, salt):
