@@ -2,6 +2,7 @@
 that raises one where a seed, timestamp or index enters."""
 
 import numbers
+from typing import Optional
 
 
 class PufStackError(Exception):
@@ -36,9 +37,12 @@ class FormatError(PufStackError):
     """A decrypted or framed payload does not follow its documented schema."""
 
 
-def require_int(value, name: str) -> int:
+def require_int(value, name: str, minimum: Optional[int] = None) -> int:
     """``value`` as a Python int: any integer, numpy's too, but not a bool,
-    which would pass as 0 or 1. Anything else raises ValidationError."""
+    which would pass as 0 or 1, and none below ``minimum`` when one is
+    given. Anything else raises ValidationError."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValidationError(f"{name} must be an integer, not {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValidationError(f"{name} must be >= {minimum}, got {value}")
     return int(value)

@@ -21,8 +21,7 @@ def harvest_crps(puf: PufInstance, n: int,
                  challenge_rng: np.random.Generator) -> CrpBatch:
     """Record n noiseless challenge-response pairs under uniform random
     challenges drawn from ``challenge_rng``."""
-    if n < 1:
-        raise ValidationError("harvest needs n >= 1")
+    n = require_int(n, "harvest size n", 1)
     challenges = challenge_rng.integers(0, 2, size=(n, puf.challenge_len),
                                         dtype=np.uint8)
     return puf.evaluate_many(challenges)

@@ -7,7 +7,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require_int
 from .puf.base import _bit_array
 
 
@@ -134,6 +134,7 @@ def population_responses(pufs, challenges, n_reevals: int = 0,
     if len(lengths) > 1:
         raise ValidationError("population devices differ in response length: M = "
                               + " and ".join(map(str, lengths)))
+    n_reevals = require_int(n_reevals, "n_reevals", 0)
     challenges = _bit_array(challenges, 2, "challenge bits")
     batches = [puf.evaluate_many(challenges) for puf in pufs]
     golden = np.stack([b.bits.ravel() for b in batches])

@@ -63,11 +63,17 @@ class AttestationReport:
 
 
 def memory_chunks(memory: bytes, chunk_size: int = DEFAULT_CHUNK_BYTES) -> list[bytes]:
-    """Partition the image into fixed chunks, zero-padding the last one."""
+    """Partition the bytes-like image into fixed chunks, zero-padding the
+    last one."""
+    if not isinstance(memory, bytes):
+        try:
+            memory = bytes(memoryview(memory))
+        except TypeError:
+            raise ValidationError("memory image must be bytes-like, not "
+                                  + type(memory).__name__) from None
     if len(memory) == 0:
         raise ValidationError("memory image must be non-empty")
-    if chunk_size < 1:
-        raise ValidationError("chunk size must be >= 1")
+    chunk_size = require_int(chunk_size, "chunk size", 1)
     n = -(-len(memory) // chunk_size)
     chunks = []
     for i in range(n):
@@ -95,14 +101,13 @@ def _response_to_challenge(response: bytes, length: int) -> np.ndarray:
         expand(response, "attest-chain-challenge", (length + 7) // 8), length)
 
 
-def _final_hash(request: AttestationRequest, memory: bytes, puf: PufInstance,
-                chunk_size: int) -> bytes:
-    """h_n over ``memory``: the walk from r_1 and the timestamp, each link
-    SHA-256(chunk || r_i || h_{i-1}) with r_{i+1} the response to r_i.
-    The device and the verifier both compute exactly this."""
+def _final_hash(request: AttestationRequest, chunks: list[bytes],
+                puf: PufInstance) -> bytes:
+    """h_n over the memory ``chunks``: the walk from r_1 and the timestamp,
+    each link SHA-256(chunk || r_i || h_{i-1}) with r_{i+1} the response to
+    r_i. The device and the verifier both compute exactly this."""
     if len(request.challenge) != puf.challenge_len:
         raise ValidationError("request challenge length does not match the PUF")
-    chunks = memory_chunks(memory, chunk_size)
     r = puf.evaluate(request.challenge).to_bytes()
     h = b""
     for step, idx in enumerate(derive_walk(r, request.timestamp, len(chunks))):
@@ -113,17 +118,20 @@ def _final_hash(request: AttestationRequest, memory: bytes, puf: PufInstance,
 
 
 def honest_elapsed(n_chunks: int, challenge_len: int) -> int:
-    puf_units = -(-challenge_len // PUF_BITRATE_BITS_PER_UNIT)
-    return n_chunks * (HASH_UNITS_PER_CHUNK + puf_units)
+    """Modelled time of an honest walk over ``n_chunks`` chunks (both
+    counts >= 1)."""
+    length = require_int(challenge_len, "challenge length", 1)
+    puf_units = -(-length // PUF_BITRATE_BITS_PER_UNIT)
+    return require_int(n_chunks, "chunk count", 1) * (HASH_UNITS_PER_CHUNK + puf_units)
 
 
 def device_attest(request: AttestationRequest, memory: bytes, puf: PufInstance,
                   chunk_size: int = DEFAULT_CHUNK_BYTES) -> AttestationReport:
     """Run the attestation walk on an honest device, which reports the
     modelled time ``honest_elapsed`` of its walk."""
-    final = _final_hash(request, memory, puf, chunk_size)
-    n_chunks = -(-len(memory) // chunk_size)
-    return AttestationReport(final, honest_elapsed(n_chunks, puf.challenge_len))
+    chunks = memory_chunks(memory, chunk_size)
+    return AttestationReport(_final_hash(request, chunks, puf),
+                             honest_elapsed(len(chunks), puf.challenge_len))
 
 
 @dataclass(frozen=True)
@@ -138,8 +146,8 @@ def verifier_attest_check(request: AttestationRequest, report: AttestationReport
                           chunk_size: int = DEFAULT_CHUNK_BYTES) -> AttestationVerdict:
     """Recompute h_n from the golden image and the PUF model; accept iff the
     hash matches and the reported time is within budget."""
-    if report.final_hash != _final_hash(request, golden_memory, puf_model,
-                                        chunk_size):
+    chunks = memory_chunks(golden_memory, chunk_size)
+    if report.final_hash != _final_hash(request, chunks, puf_model):
         return AttestationVerdict(False, "HashMismatch")
     if report.elapsed > time_budget:
         return AttestationVerdict(False, "Timeout")

@@ -8,7 +8,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from ..errors import ChallengeShapeError, ValidationError
+from ..errors import ChallengeShapeError, ValidationError, require_int
 from ..xof import expand_bits
 
 SUPPORTED_CHALLENGE_LENGTHS = (32, 64, 128)
@@ -162,6 +162,7 @@ class PufInstance:
         at every batch size; the arbiter's float matmul may round by batch
         shape.
         """
+        votes = require_int(votes, "votes")
         if votes < 1 or votes % 2 == 0:
             raise ValidationError("votes must be odd and >= 1")
         mat = self._challenge_rows(challenges)

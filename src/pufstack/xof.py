@@ -30,17 +30,9 @@ def _block(seed: bytes, raw_label: bytes, counter: int) -> bytes:
                           + counter.to_bytes(4, "big")).digest()
 
 
-def _size(n, name: str) -> int:
-    """``n`` as an int >= 0; anything else raises ValidationError."""
-    n = require_int(n, name)
-    if n < 0:
-        raise ValidationError(f"{name} must be >= 0, got {n}")
-    return n
-
-
 def expand(seed: bytes, label: str, n_bytes: int) -> bytes:
     """Derive ``n_bytes`` pseudo-random bytes from (seed, label)."""
-    n_bytes = _size(n_bytes, "byte count")
+    n_bytes = require_int(n_bytes, "byte count", 0)
     raw = _check_label(label)
     out = bytearray()
     counter = 0
@@ -52,7 +44,7 @@ def expand(seed: bytes, label: str, n_bytes: int) -> bytes:
 
 def expand_bits(seed: bytes, label: str, n_bits: int) -> np.ndarray:
     """Derive ``n_bits`` bits as a uint8 array, most-significant bit first."""
-    n_bits = _size(n_bits, "bit count")
+    n_bits = require_int(n_bits, "bit count", 0)
     return bytes_to_bits(expand(seed, label, (n_bits + 7) // 8), n_bits)
 
 
@@ -87,7 +79,7 @@ class XofStream:
         self._buf = b""
 
     def take(self, n: int) -> bytes:
-        n = _size(n, "byte count")
+        n = require_int(n, "byte count", 0)
         while len(self._buf) < n:
             self._buf += _block(self._seed, self._label, self._counter)
             self._counter += 1
@@ -128,7 +120,7 @@ def seeded_permutation(seed: bytes, label: str, n: int) -> np.ndarray:
 def bytes_to_bits(raw: bytes, n_bits: int) -> np.ndarray:
     """The first ``n_bits`` bits of ``raw`` as a uint8 array, most-significant
     bit first."""
-    n_bits = _size(n_bits, "bit count")
+    n_bits = require_int(n_bits, "bit count", 0)
     bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
     if len(bits) < n_bits:
         raise ValidationError("not enough bytes for requested bit count")

@@ -1,6 +1,7 @@
 """tools/abpairs.py end to end: one pair of one workload at the smallest
 run length, on two copies of this checkout."""
 
+import importlib.util
 import json
 import shutil
 import subprocess
@@ -47,12 +48,33 @@ def test_one_pair_writes_the_skeleton(checkouts, tmp_path):
     assert record["failed"] == {"parent": 0, "change": 0}
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     assert set(record["end_to_end"]) == {m["name"] for m in spec["end_to_end"]}
-    assert set(record["as_measured"]) == {"as_measured_ops_per_s", "as_measured_op_p50_ms"}
+    assert set(record["as_measured"]) == {"as_measured_ops_per_s", "as_measured_op_p50_ms",
+                                          "host_slowdown"}
+    slowdown = record["as_measured"]["host_slowdown"]
+    assert set(slowdown) == {"unit", "parent", "change"}   # no bound, no gain rule
+    for side in ("parent", "change"):
+        assert slowdown[side]["median"] > 0
+        assert slowdown[side]["quartiles"] == [slowdown[side]["median"]] * 2
     for row in record["end_to_end"].values():
         assert len(row["parent"]["runs"]) == len(row["change"]["runs"]) == 1
         assert row["change_wins"] in ("0/1", "1/1")
         assert row["parent_iqr"] == 0
         assert isinstance(row["bound_holds"], bool)
+
+
+def test_reads_the_host_slowdown():
+    spec = importlib.util.spec_from_file_location("abpairs", TOOL)
+    abpairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(abpairs)
+    line = ("as measured: 29.5000 ops/s, op p50 33.9000 ms; host slowdown 1.1250 "
+            "(the metrics below are at reference speed)")
+    assert abpairs.AS_MEASURED.search(line).groups() == ("29.5000", "33.9000", "1.1250")
+    # a line without the slowdown still gives the as-measured metrics
+    assert abpairs.AS_MEASURED.search(line[:line.index(";")]).group(3) is None
+    sides = abpairs.spread([1.0, 1.2, 1.1, 1.4], [1.3, 1.0, 1.0, 1.1])
+    assert sides["parent"] == {"median": 1.15, "quartiles": [1.075, 1.25],
+                               "runs": [1.0, 1.2, 1.1, 1.4]}
+    assert sides["change"]["median"] == 1.05
 
 
 def test_refuses_two_benchmarks(checkouts):

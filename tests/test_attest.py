@@ -194,6 +194,52 @@ def test_numpy_timestamp_matches_int():
             == device_attest(make_request(42), MEMORY, puf))
 
 
+@pytest.mark.parametrize("chunk_size", [512.0, True, "512", 0])
+def test_chunk_size_must_be_a_positive_integer(chunk_size):
+    # 512.0 used to fail inside the slicing, and True read as 1-byte chunks
+    puf, request = make_puf(), make_request()
+    report = device_attest(request, MEMORY, puf, chunk_size=512)
+    with pytest.raises(ValidationError, match="chunk size"):
+        memory_chunks(MEMORY, chunk_size)
+    with pytest.raises(ValidationError, match="chunk size"):
+        device_attest(request, MEMORY, puf, chunk_size=chunk_size)
+    with pytest.raises(ValidationError, match="chunk size"):
+        verifier_attest_check(request, report, MEMORY, puf, 10 ** 6,
+                              chunk_size=chunk_size)
+
+
+@pytest.mark.parametrize("image", [MEMORY.decode("latin-1"), list(MEMORY), 7],
+                         ids=["str", "list", "int"])
+def test_memory_image_must_be_bytes_like(image):
+    # a str image used to fail inside the zero padding
+    puf, request = make_puf(), make_request()
+    report = device_attest(request, MEMORY, puf, chunk_size=512)
+    with pytest.raises(ValidationError, match="bytes-like"):
+        memory_chunks(image, 512)
+    with pytest.raises(ValidationError, match="bytes-like"):
+        device_attest(request, image, puf, chunk_size=512)
+    with pytest.raises(ValidationError, match="bytes-like"):
+        verifier_attest_check(request, report, image, puf, 10 ** 6, chunk_size=512)
+
+
+def test_bytes_like_images_attest_alike():
+    puf, request = make_puf(), make_request()
+    report = device_attest(request, MEMORY, puf, chunk_size=512)
+    for image in (bytearray(MEMORY), memoryview(MEMORY),
+                  np.frombuffer(MEMORY, dtype=np.uint8)):
+        assert device_attest(request, image, puf, chunk_size=512) == report
+        assert verifier_attest_check(request, report, image, puf, 10 ** 6,
+                                     chunk_size=512).accepted
+
+
+@pytest.mark.parametrize("args", [(-1, 64), (0, 64), (4, 0), (4.0, 64), (True, 64),
+                                  (4, 64.0)])
+def test_honest_elapsed_needs_positive_integer_counts(args):
+    # honest_elapsed(-1, 64) used to return -77
+    with pytest.raises(ValidationError):
+        honest_elapsed(*args)
+
+
 def test_honest_elapsed_model():
     # 64-bit challenge at 5 bits/unit -> 13 units; plus 64 hash units/chunk
     assert honest_elapsed(1, 64) == 77

@@ -127,6 +127,12 @@ class TestHarvest:
         with pytest.raises(ValidationError):
             harvest_crps(create_puf("arbiter", 5), 0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("n", [5.0, True, "5"])
+    def test_needs_an_integer_n(self, n):
+        # 5.0 and True used to fail inside the challenge draw
+        with pytest.raises(ValidationError, match="harvest size"):
+            harvest_crps(create_puf("arbiter", 5), n, np.random.default_rng(0))
+
 
 def _lstsq_newton(x, y):
     """The Newton fit of one label column, each step a least-squares solve."""

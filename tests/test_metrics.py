@@ -219,6 +219,15 @@ def test_population_responses_shapes():
         population_responses([create_puf("arbiter", 6200, {"L": 64})], ragged)
 
 
+@pytest.mark.parametrize("n_reevals", [2.0, True, -1, "2"])
+def test_population_responses_rejects_bad_reeval_counts(n_reevals):
+    # 2.0 used to fail inside range(), and -1 gave no re-reads without a word
+    pufs = [create_puf("arbiter", 6400)]
+    with pytest.raises(ValidationError, match="n_reevals"):
+        population_responses(pufs, np.zeros((2, 64), dtype=np.uint8), n_reevals,
+                             np.random.default_rng(0))
+
+
 def test_population_responses_rejects_mixed_response_lengths():
     # the golden stack used to die in numpy with a shape ValueError
     pufs = [create_puf("photonic", 6300), create_puf("photonic", 6301, {"M": 64})]

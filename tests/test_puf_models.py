@@ -15,7 +15,8 @@ from pufstack.errors import ChallengeShapeError, ValidationError
 from pufstack.harness.attack import harvest_crps
 from pufstack.metrics import population_responses
 from pufstack.protocols.attest import _response_to_challenge
-from pufstack.protocols.auth import derive_next_challenge, enroll_secret
+from pufstack.protocols.auth import (AuthRequest, DeviceSession, derive_next_challenge,
+                                     enroll_secret)
 from pufstack.puf import (SUPPORTED_CHALLENGE_LENGTHS, ArbiterPuf, Challenge,
                           PhotonicParams, PhotonicPuf, coerce_seed, create_puf,
                           parity_features, stabilized_response)
@@ -315,6 +316,29 @@ class TestInvariants:
             assert not puf.prefix_states.flags.writeable
             with pytest.raises(ValueError):
                 puf.prefix_states[0, 0] = 1.0
+            # it is the transpose of a read-only C-ordered (P, 2^k) table,
+            # so a read takes prefix columns from it without a copy
+            stored = puf.prefix_states.base
+            assert stored is not None and not stored.flags.writeable
+            assert puf.prefix_states.T.flags.c_contiguous
+
+    @pytest.mark.parametrize("cfg", [{"L": 32}, {"P": 16, "M": 64}, {"L": 128, "P": 8},
+                                     {"a": 0.3, "kerr": -25.0}, {"a": 0.0}],
+                             ids=["L32", "P16-M64", "L128-P8", "a0.3-kerr-25", "a0"])
+    def test_one_row_read_equals_its_row_in_a_batch(self, cfg):
+        # a one-row read, and the one-row tail tile of 513 rows, take the
+        # one-column stage product; the wider tiles take the other
+        puf = create_puf("photonic", 1, {**cfg, "noise_sigma": 0.0})
+        bits = puf.random_challenges("width-split", 513)
+        batches = {n: puf.raw_intensities(bits[:n]) for n in (2, 512, 513)}
+        for row in (0, 1, 511, 512):
+            one = puf.raw_intensities(bits[row:row + 1])[0]
+            for n, raw in batches.items():
+                if row < n:
+                    assert raw[row].tobytes() == one.tobytes(), (n, row)
+        for row in (0, 512):
+            one = puf.raw_intensities(bits[row:row + 1])[0]
+            assert puf.stage_trace(bits[row])[-1].tobytes() == one.tobytes()
 
     @pytest.mark.parametrize("length", [32, 64, 128])
     @pytest.mark.parametrize("paths", [8, 32])
@@ -436,6 +460,25 @@ class TestInvariants:
                 puf.evaluate_many(rows, np.random.default_rng(0), votes)
             with pytest.raises(ValidationError):
                 puf.evaluate_many(rows, votes=votes)
+
+    @pytest.mark.parametrize("votes", [True, 3.0, "3"])
+    def test_votes_must_be_an_integer(self, votes):
+        # True used to read as one vote, and 3.0 failed inside np.repeat
+        puf = create_puf("arbiter", 67)
+        rows = puf.random_challenges("votes", 2)
+        noise = np.random.default_rng(0)
+        with pytest.raises(ValidationError):
+            puf.evaluate_many(rows, noise, votes)
+        with pytest.raises(ValidationError):
+            stabilized_response(puf, rows[0], noise, votes)
+        with pytest.raises(ValidationError):
+            enroll_secret(puf, noise, votes)
+        device = DeviceSession(puf, bytes(16), nonce_rng=np.random.default_rng(1),
+                               noise_rng=noise, stabilize_votes=votes)
+        with pytest.raises(ValidationError):
+            device.respond(AuthRequest())
+        assert np.array_equal(puf.evaluate_many(rows, noise, np.int64(3)).bits,
+                              puf.evaluate_many(rows, np.random.default_rng(0), 3).bits)
 
     def test_one_propagation_per_read(self, monkeypatch):
         # votes and population re-reads add detector noise to one noiseless

@@ -13,7 +13,9 @@ workloads (the default when no ``--workload`` is given), its run length
 Pair i runs every workload in turn with seed ``seed-base + i`` on both
 sides, one run at a time, the parent first in even pairs and the change
 first in odd pairs. Each run is the benchmark's untraced command; the tool
-reads the last JSON line of its output and the "as measured" line. The
+reads the last JSON line of its output and the "as measured" line, which
+also gives the run's host slowdown (the benchmark's reference kernel time
+over its nominal time). The
 environment passes through unchanged, so a control such as pinned glibc
 malloc thresholds is a prefix on this command
 (``MALLOC_MMAP_THRESHOLD_=33554432 python3 tools/abpairs.py ...``) and is
@@ -23,7 +25,10 @@ For each workload and metric it prints both sides' medians and quartiles,
 the pairs the change won (ties count for neither side), the median gap,
 the parent's IQR, whether the ``BENCHMARK.json`` bound holds, and whether
 the gain rule holds: at least 9/10 of the pairs won and a median gap in the
-better direction larger than the parent's IQR. Quartiles are the
+better direction larger than the parent's IQR. The host slowdown is
+reported beside the as-measured metrics with both sides' medians and
+quartiles only, no bound and no gain rule: it tells a swing of the host
+from a change of the code. Quartiles are the
 inclusive (linearly interpolated) ones of ``statistics.quantiles``.
 ``--out`` writes the ``BENCH_<pr>.json`` skeleton: ``method``, ``machine``
 and ``workloads``; the author adds ``what`` and ``claim``.
@@ -45,9 +50,11 @@ from importlib import metadata
 from pathlib import Path
 
 GAIN_SHARE = 0.9        # share of the pairs a claimed gain must win
-AS_MEASURED = re.compile(r"^as measured: ([0-9.]+) ops/s, op p50 ([0-9.]+) ms", re.M)
+AS_MEASURED = re.compile(r"^as measured: ([0-9.]+) ops/s, op p50 ([0-9.]+) ms"
+                         r"(?:; host slowdown ([0-9.]+))?", re.M)
 RAW_METRICS = {"as_measured_ops_per_s": ("1/s", "higher"),
                "as_measured_op_p50_ms": ("ms", "lower")}
+SLOWDOWN = "host_slowdown"
 
 
 def bench_digest(checkout: Path) -> dict[str, str]:
@@ -75,6 +82,8 @@ def run_once(checkout: Path, command: list[str], workload: str, seed: int,
     if raw:
         metrics["as_measured_ops_per_s"] = float(raw.group(1))
         metrics["as_measured_op_p50_ms"] = float(raw.group(2))
+        if raw.group(3):
+            metrics[SLOWDOWN] = float(raw.group(3))
     return {"metrics": metrics, "attempted": result["attempted"],
             "failed": result["failed"]}
 
@@ -86,13 +95,24 @@ def quartiles(runs: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
+def spread(parent: list[float], change: list[float]) -> dict:
+    """Both sides' medians, quartiles and runs of one metric."""
+    sides = {}
+    for side, runs in (("parent", parent), ("change", change)):
+        q1, q3 = quartiles(runs)
+        sides[side] = {"median": round(statistics.median(runs), 4),
+                       "quartiles": [round(q1, 4), round(q3, 4)],
+                       "runs": [round(v, 4) for v in runs]}
+    return sides
+
+
 def compare(parent: list[float], change: list[float], better: str,
             bound: float | None) -> dict:
     """One metric over the pairs; ``bound`` is None for a metric without
     one."""
     sign = 1 if better == "higher" else -1
     p_med, c_med = statistics.median(parent), statistics.median(change)
-    (p_q1, p_q3), (c_q1, c_q3) = quartiles(parent), quartiles(change)
+    p_q1, p_q3 = quartiles(parent)
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     gain = sign * (c_med - p_med)
     row = {
@@ -101,10 +121,7 @@ def compare(parent: list[float], change: list[float], better: str,
         "median_change_rel": round(c_med / p_med - 1, 4),
         "parent_iqr": round(p_q3 - p_q1, 4),
         "gain_rule_met": wins >= GAIN_SHARE * len(parent) and gain > p_q3 - p_q1,
-        "parent": {"median": round(p_med, 4), "quartiles": [round(p_q1, 4), round(p_q3, 4)],
-                   "runs": [round(v, 4) for v in parent]},
-        "change": {"median": round(c_med, 4), "quartiles": [round(c_q1, 4), round(c_q3, 4)],
-                   "runs": [round(v, 4) for v in change]},
+        **spread(parent, change),
     }
     if bound is not None:
         row["bound"] = bound
@@ -152,13 +169,16 @@ def report(name: str, record: dict) -> None:
           f" {'wins':>6} {'gap':>8} {'parent IQR':>11}  bound  gain rule")
     for metric, row in {**record["end_to_end"], **record["as_measured"]}.items():
         p, c = row["parent"], row["change"]
-        bound = ("-" if "bound" not in row
-                 else f"{'holds' if row['bound_holds'] else 'FAILS'}")
-        print(f"  {metric:<22} {p['median']:>12.4f} [{p['quartiles'][0]:.4f}, "
-              f"{p['quartiles'][1]:.4f}] {c['median']:>12.4f} [{c['quartiles'][0]:.4f}, "
-              f"{c['quartiles'][1]:.4f}] {row['change_wins']:>6} "
-              f"{100 * row['median_change_rel']:>+7.1f}% {row['parent_iqr']:>11.4f}  "
-              f"{bound:<6} {'met' if row['gain_rule_met'] else 'not met'}")
+        line = (f"  {metric:<22} {p['median']:>12.4f} [{p['quartiles'][0]:.4f}, "
+                f"{p['quartiles'][1]:.4f}] {c['median']:>12.4f} [{c['quartiles'][0]:.4f}, "
+                f"{c['quartiles'][1]:.4f}]")
+        if "change_wins" in row:
+            bound = ("-" if "bound" not in row
+                     else f"{'holds' if row['bound_holds'] else 'FAILS'}")
+            line += (f" {row['change_wins']:>6} {100 * row['median_change_rel']:>+7.1f}% "
+                     f"{row['parent_iqr']:>11.4f}  {bound:<6} "
+                     f"{'met' if row['gain_rule_met'] else 'not met'}")
+        print(line)
 
 
 def main(argv=None) -> int:
@@ -219,6 +239,9 @@ def main(argv=None) -> int:
                 record["as_measured"][name] = {"unit": unit, **compare(
                     *([r["metrics"][name] for r in sides[s]] for s in ("parent", "change")),
                     better, None)}
+        if all(SLOWDOWN in r["metrics"] for s in sides for r in sides[s]):
+            record["as_measured"][SLOWDOWN] = {"unit": "x", **spread(
+                *([r["metrics"][SLOWDOWN] for r in sides[s]] for s in ("parent", "change")))}
         records[w] = record
         report(w, record)
 
