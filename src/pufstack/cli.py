@@ -28,6 +28,7 @@ from .harness.scenarios import ATTEST_ADVERSARIES
 from .metrics import (FilterBand, MetricsReport, band_sweep, compute_metrics,
                       decision_rates, pairwise_hd, population_responses)
 from .puf import challenge_matrix, create_puf
+from .puf.photonic import kernel_name
 from .xof import derive_rng, expand, seed_bytes
 
 EXIT_OK = 0
@@ -53,6 +54,7 @@ def _write_manifest(args, out: Path):
         "out": str(out),
         "version": __version__,
         "argv": " ".join(sys.argv[1:]),
+        "photonic_kernel": kernel_name(),
     })
 
 

@@ -105,16 +105,16 @@ class PufInstance:
 
     def __init__(self, device_seed: bytes, challenge_len: int, response_len: int,
                  noise_sigma: float = 0.02):
-        if len(device_seed) != 32:
+        if not isinstance(device_seed, bytes) or len(device_seed) != 32:
             raise ValidationError("device_seed must be 32 bytes (256 bits)")
-        if challenge_len not in SUPPORTED_CHALLENGE_LENGTHS:
+        if require_int(challenge_len, "challenge length L") not in SUPPORTED_CHALLENGE_LENGTHS:
             raise ValidationError(
                 f"challenge length L={challenge_len} unsupported; choose one of "
                 f"{SUPPORTED_CHALLENGE_LENGTHS}"
             )
         if response_len < 1:
             raise ValidationError("response length M must be >= 1")
-        if not 0 <= noise_sigma < math.inf:
+        if isinstance(noise_sigma, (bool, np.bool_)) or not 0 <= noise_sigma < math.inf:
             raise ValidationError("noise_sigma must be finite and >= 0")
         self.device_seed = device_seed
         self.challenge_len = challenge_len

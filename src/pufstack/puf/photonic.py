@@ -66,18 +66,57 @@ complex multiply or matmul forms the same real products, and each of its
 partial sums is a partial sum of the same real dot product, bounded like it,
 so it is exact too, whether the real and imaginary parts accumulate apart or
 through fused multiply-adds.
+
+Compiled kernel
+---------------
+``_cascade.c`` runs the same cascade, one row after another, for the reads
+of ``_raw`` in tiles of fewer than ``KERNEL_ROWS`` rows, where numpy's
+per-call overhead, not the arithmetic, sets a stage's cost. Wider tiles,
+the prefix-table build, calibration and ``stage_trace`` run in numpy. The
+kernel forms the same values, so a read is bit for bit the same with it
+and without it:
+
+* every product and every partial sum it forms is an integer count below
+  2^53, in any summation order and whether or not the compiler contracts a
+  multiply and an add into a fused multiply-add, for the reasons above: a
+  partial sum of any subset of a dot product's real terms is bounded like
+  the whole, and the kernel sums the terms of Re(m) and of Im(m) apart. So
+  it needs no reassociation and is compiled without -ffast-math, which
+  could also set flush-to-zero for the whole process;
+* |y_t|^2 is a non-negative integer below 2^53, and the int64 conversion
+  of a non-negative double below 2^63 truncates exactly, so it is the floor;
+* ``k & (N - 1)`` equals ``take``'s "wrap" index k mod N, negative k too,
+  because N = 2^12 and int64 is two's complement;
+* ``>>`` on a negative int64 is an arithmetic shift, a floor, on GCC and
+  Clang, as numpy's shift is; the pinned kerr = -25 device forms negative
+  Kerr products.
+
+It is built when this module is imported, with the C compiler Python was
+built with and tuned to the host CPU, into this package's ``__pycache__``,
+and loaded with ctypes (``_load_kernel``). Where no compiler is found, the
+host CPU cannot be identified, the cache cannot be written, or the build or
+the load fails, every read runs in numpy.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
+import hashlib
 import math
+import os
+import shlex
+import shutil
+import subprocess
+import sysconfig
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from ..errors import ValidationError
+from ..errors import ValidationError, require_int
 from ..xof import derive_rng
 from .base import PufInstance
 
@@ -102,6 +141,11 @@ PROPAGATE_TILE = 512
 # the table and its build: 12 slowed fabrication by 4-7 ms, and 10 would save
 # 2 more of 56 stages, a gain within the measured noise.
 PREFIX_BITS = 8
+# Tiles of fewer rows are read by the compiled kernel, wider ones by the
+# numpy loop, whose BLAS product shares each stage among the tile's rows.
+# Per row, numpy over the host-tuned kernel ran 6.7-6.8x at 1 row, 1.4x at
+# 16, 1.0-1.1x at 32 and 0.8x at 64 (BENCH_33.json).
+KERNEL_ROWS = 32
 
 _Q = 1 << GRID_BITS
 _GRID = 2.0 ** -GRID_BITS
@@ -121,10 +165,8 @@ class PhotonicParams:
     kerr_coeff: float = 40.0    # intensity-to-phase coefficient of the nonlinearity
 
     def validate(self):
-        if self.n_paths < 2:
-            raise ValidationError("n_paths P must be >= 2")
-        if self.detect_count < 1:
-            raise ValidationError("detect_count M must be >= 1")
+        require_int(self.n_paths, "n_paths P", 2)
+        require_int(self.detect_count, "detect_count M", 1)
         if not 0.0 <= self.mem_decay < 1.0:
             raise ValidationError("mem_decay a must lie in [0, 1)")
         if not math.isfinite(self.kerr_coeff):
@@ -312,8 +354,98 @@ def _fold_injection(stages: np.ndarray, inject: np.ndarray) -> np.ndarray:
     return stages
 
 
+# -- compiled kernel ---------------------------------------------------------
+
+# /proc/cpuinfo lines that fix what a -march=native build may use
+_CPU_KEYS = ("vendor_id", "cpu family", "model", "model name", "flags",
+             "CPU implementer", "CPU architecture", "CPU variant", "CPU part",
+             "Features")
+
+
+def _host_cpu() -> Optional[str]:
+    """The host CPU's identity and feature lines, or None where they cannot
+    be read; then no kernel is built."""
+    try:
+        lines = Path("/proc/cpuinfo").read_text().splitlines()
+    except OSError:
+        return None
+    return "\n".join(sorted({line for line in lines
+                              if line.split(":")[0].strip() in _CPU_KEYS})) or None
+
+
+def _load_kernel(package: Path = Path(__file__).parent):
+    """``_cascade.c``'s ``cascade`` in ``package`` as a ctypes function, or
+    None.
+
+    The shared library is built with the C compiler Python was built with,
+    tuned to the host (-O3 -march=native), and cached in the package's
+    ``__pycache__`` under a name that carries the SHA-256 of the source, the
+    compiler (its path, size and mtime, and its arguments), the flags and
+    the host's CPU lines. So a later import loads it without running the
+    compiler, an edit or another compiler builds anew, and the build never
+    loads on another CPU, where it could stop the process on an illegal
+    instruction. It is compiled to a temporary name and moved into place, so
+    a concurrent import never loads a partial file. Without a compiler, a
+    host CPU that cannot be identified, a cache directory that cannot be
+    written (then the compiler is not started), or a failed build or load,
+    this returns None and every read runs in numpy.
+    """
+    compiler = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    found = shutil.which(compiler[0]) if compiler else None
+    cpu = _host_cpu()
+    if found is None or cpu is None:
+        return None
+    source_path = package / "_cascade.c"
+    cache = package / "__pycache__"
+    flags = ["-O3", "-march=native"]
+    try:
+        found = os.path.realpath(found)
+        stat = os.stat(found)
+        source = source_path.read_bytes()
+    except OSError:
+        return None
+    digest = hashlib.sha256(repr((source, found, stat.st_size, stat.st_mtime_ns,
+                                  compiler[1:], flags, cpu)).encode()).hexdigest()
+    path = cache / f"_cascade.{digest}.so"
+    if not path.exists():
+        partial = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        try:
+            cache.mkdir(exist_ok=True)
+            if not os.access(cache, os.W_OK):
+                return None
+            subprocess.run([*compiler, *flags, "-shared", "-fPIC", "-o", str(partial),
+                            str(source_path), "-lm"],
+                           check=True, capture_output=True, timeout=300)
+            os.replace(partial, path)
+        except (OSError, subprocess.SubprocessError):
+            with contextlib.suppress(OSError):
+                partial.unlink(missing_ok=True)
+            return None
+    try:
+        kernel = ctypes.CDLL(str(path)).cascade
+    except (OSError, AttributeError):
+        return None
+    pointer, c_int, c_int64 = ctypes.c_void_p, ctypes.c_int, ctypes.c_int64
+    kernel.argtypes = ([c_int] + [pointer] * 3 + [c_int] * 4 + [pointer] * 5
+                       + [c_int64, c_int, c_int, c_int64, ctypes.c_double])
+    kernel.restype = None
+    return kernel
+
+
+_compiled_cascade = _load_kernel()
+
+
+def kernel_name() -> str:
+    """"compiled" where tiles narrower than ``KERNEL_ROWS`` rows are read by
+    the compiled kernel, "numpy" where every read runs in numpy."""
+    return "numpy" if _compiled_cascade is None else "compiled"
+
+
 class PhotonicPuf(PufInstance):
     kind = "photonic"
+    # what ``_bind_kernel`` hands the compiled kernel, by address or value
+    _KERNEL_INPUTS = frozenset({"challenge_len", "prefix_states", "stages", "detect",
+                                "_memory", "_kerr"})
 
     def __init__(self, device_seed: bytes, challenge_len: int = 64,
                  params: Optional[PhotonicParams] = None,
@@ -340,6 +472,7 @@ class PhotonicPuf(PufInstance):
         self._kerr = np.array(params.kerr_steps(), dtype=np.int64)
 
         self.prefix_states = self._prefix_table()
+        self._kernel_args, self._kernel_arrays = self._bind_kernel()
         self.calibrate(CALIB_SAMPLES)
 
     # -- propagation ------------------------------------------------------
@@ -430,6 +563,36 @@ class PhotonicPuf(PufInstance):
         table.flags.writeable = False
         return table.T
 
+    def _bind_kernel(self) -> tuple:
+        """The compiled kernel's arguments that describe this device: its
+        sizes, the addresses of its C-ordered tables and the cascade's
+        integer constants, and the arrays they point into. The device holds
+        these until it is freed or one of ``_KERNEL_INPUTS`` is assigned,
+        which binds anew, so every address stays valid and a read of any
+        width reads the device's current arrays."""
+        arrays = tuple(np.ascontiguousarray(a) for a in (
+            self.prefix_states.T, self.stages, self.detect, _rotations(_Q), self._memory))
+        args = (self.challenge_len, PREFIX_BITS, self.stages.shape[2], len(self.detect),
+                *(a.ctypes.data for a in arrays),
+                int(self._kerr), int(_LEVEL), int(_SCALE), _N - 1, _GRID ** 2)
+        return args, arrays
+
+    def __setattr__(self, name: str, value) -> None:
+        super().__setattr__(name, value)
+        if name in self._KERNEL_INPUTS and "_kernel_args" in self.__dict__:
+            self._kernel_args, self._kernel_arrays = self._bind_kernel()
+
+    def __getstate__(self) -> dict:
+        # addresses are valid only in this process and for these arrays, so
+        # a pickled or deep-copied device binds its own
+        state = self.__dict__.copy()
+        del state["_kernel_args"], state["_kernel_arrays"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._kernel_args, self._kernel_arrays = self._bind_kernel()
+
     def _raw(self, bits_matrix: np.ndarray) -> np.ndarray:
         """``raw_intensities`` of an already validated matrix, in a fresh
         (B, M) array that the caller may scale in place.
@@ -438,12 +601,21 @@ class PhotonicPuf(PufInstance):
         ``PROPAGATE_TILE``, each written into its rows of the one result.
         Each row propagates on its own in exact integers, so tiling moves
         no value. A tile starts from its tabulated m_PREFIX_BITS and runs
-        the remaining stages only.
+        the remaining stages only: a tile of fewer than ``KERNEL_ROWS`` rows
+        in one call of the compiled kernel, where it is loaded, and any
+        other tile in ``_cascade``.
         """
         p = self.params.n_paths
         out = np.empty((len(bits_matrix), len(self.detect)))
         for i in range(0, len(bits_matrix), PROPAGATE_TILE):
-            order = bits_matrix[i:i + PROPAGATE_TILE].T
+            tile = bits_matrix[i:i + PROPAGATE_TILE]
+            if len(tile) < KERNEL_ROWS and _compiled_cascade is not None:
+                rows = np.ascontiguousarray(tile, np.uint8)
+                scratch = np.empty(6 * p)
+                _compiled_cascade(len(rows), rows.ctypes.data, scratch.ctypes.data,
+                                  out[i:].ctypes.data, *self._kernel_args)
+                continue
+            order = tile.T
             state = np.empty((p + 2, order.shape[1]), dtype=np.complex128)
             state[p] = 1
             prefix = _PREFIX_WEIGHTS @ order[:PREFIX_BITS]

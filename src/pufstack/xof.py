@@ -107,8 +107,7 @@ def seeded_permutation(seed: bytes, label: str, n: int) -> np.ndarray:
     Implemented by hand (not via numpy) so the output is pinned to this
     construction rather than to a library's internal shuffle.
     """
-    if n < 1:
-        raise ValidationError("permutation length must be >= 1")
+    n = require_int(n, "permutation length", 1)
     stream = XofStream(seed, label)
     perm = np.arange(n, dtype=np.int64)
     for i in range(n - 1, 0, -1):

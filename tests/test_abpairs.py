@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from pufstack.puf import photonic
+
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "abpairs.py"
 
@@ -43,6 +45,9 @@ def test_one_pair_writes_the_skeleton(checkouts, tmp_path):
     assert set(skeleton) == {"method", "machine", "workloads"}
     assert "python3 tools/abpairs.py PARENT CHANGE --pairs 1" in skeleton["method"]
     assert {"cpu", "cores", "python", "numpy", "cryptography"} <= set(skeleton["machine"])
+    # both copies build and load the kernel this checkout loads
+    kernel = photonic.kernel_name()
+    assert skeleton["machine"]["photonic_kernel"] == {"parent": kernel, "change": kernel}
     record = skeleton["workloads"]["auth-rolling"]
     assert record["pairs"] == 1 and record["seeds"] == [7]
     assert record["failed"] == {"parent": 0, "change": 0}
@@ -62,10 +67,23 @@ def test_one_pair_writes_the_skeleton(checkouts, tmp_path):
         assert isinstance(row["bound_holds"], bool)
 
 
-def test_reads_the_host_slowdown():
+def _tool():
     spec = importlib.util.spec_from_file_location("abpairs", TOOL)
     abpairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(abpairs)
+    return abpairs
+
+
+def test_records_a_side_that_reads_in_numpy(checkouts):
+    abpairs = _tool()
+    parent, change = checkouts
+    (parent / "src" / "pufstack" / "puf" / "_cascade.c").unlink()
+    assert abpairs.photonic_kernel(parent, sys.executable) == "numpy"
+    assert abpairs.photonic_kernel(change, sys.executable) == photonic.kernel_name()
+
+
+def test_reads_the_host_slowdown():
+    abpairs = _tool()
     line = ("as measured: 29.5000 ops/s, op p50 33.9000 ms; host slowdown 1.1250 "
             "(the metrics below are at reference speed)")
     assert abpairs.AS_MEASURED.search(line).groups() == ("29.5000", "33.9000", "1.1250")

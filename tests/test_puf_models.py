@@ -1,8 +1,13 @@
+import copy
+import gc
 import hashlib
 import math
 import os
+import pickle
+import shutil
 import subprocess
 import sys
+import sysconfig
 import tracemalloc
 from pathlib import Path
 
@@ -20,8 +25,9 @@ from pufstack.protocols.auth import (AuthRequest, DeviceSession, derive_next_cha
 from pufstack.puf import (SUPPORTED_CHALLENGE_LENGTHS, ArbiterPuf, Challenge,
                           PhotonicParams, PhotonicPuf, coerce_seed, create_puf,
                           parity_features, stabilized_response)
-from pufstack.puf.photonic import (PREFIX_BITS, TARGET_MEAN, _fold_injection, cascade_bounds,
-                                   phase_table)
+from pufstack.puf import photonic as photonic_module
+from pufstack.puf.photonic import (KERNEL_ROWS, PREFIX_BITS, TARGET_MEAN, _fold_injection,
+                                   cascade_bounds, phase_table)
 from pufstack.xof import bytes_to_bits, derive_rng
 
 
@@ -91,6 +97,20 @@ class TestCreation:
                 ArbiterPuf(seed, replica_sigma=bad)
             with pytest.raises(ValidationError):
                 PhotonicParams(kerr_coeff=bad).validate()
+
+    @pytest.mark.parametrize("build", [
+        lambda: PhotonicPuf(bytes(32), params=PhotonicParams(n_paths=8.0)),
+        lambda: PhotonicPuf(bytes(32), params=PhotonicParams(detect_count=4.5)),
+        lambda: PhotonicPuf(bytes(32), challenge_len=64.0),
+        lambda: PhotonicPuf(bytes(32), noise_sigma=True),
+        lambda: PhotonicPuf("ab" * 16),
+    ], ids=["n_paths-8.0", "detect_count-4.5", "challenge_len-64.0", "noise_sigma-True",
+            "str-seed"])
+    def test_rejects_non_integer_sizes_and_non_bytes_seeds(self, build):
+        # the sizes become C ints of the compiled kernel; each of these used
+        # to raise a bare TypeError, and noise_sigma=True read as 1.0
+        with pytest.raises(ValidationError):
+            build()
 
     def test_seed_forms_equivalent(self):
         seed_int = 0xDEADBEEF
@@ -907,6 +927,10 @@ def test_device_identity_is_platform_and_layout_independent():
     copy.stages = _strided(puf.stages)
     copy.prefix_states = copy._prefix_table()
     assert np.array_equal(copy.raw_intensities(bits), ref)
+    # and tiles narrow enough for the compiled kernel, which reads the
+    # reassigned arrays
+    for width in (1, KERNEL_ROWS - 1):
+        assert np.array_equal(copy.raw_intensities(bits[:width]), ref[:width]), width
 
     # a relative 1e-12 change of a and kerr flips < 0.1% of the bits
     moved = create_puf("photonic", 1, {"noise_sigma": 0.0, "a": 0.6 * (1 + 1e-12),
@@ -915,6 +939,129 @@ def test_device_identity_is_platform_and_layout_independent():
         return device.evaluate_analog(bits) >= device.thresholds
 
     assert np.mean(quantized(moved) != quantized(puf)) < 1e-3
+
+
+# -- compiled kernel ----------------------------------------------------------
+
+def test_kernel_loads_where_a_compiler_is_found():
+    compiler = (sysconfig.get_config_var("CC") or "cc").split()[0]
+    if shutil.which(compiler):
+        assert photonic_module.kernel_name() == "compiled"
+
+
+@pytest.mark.parametrize("cfg", [{}, {"L": 32}, {"P": 16, "M": 64}, {"L": 128, "P": 8},
+                                 {"a": 0.3, "kerr": -25.0}, {"a": 0.0}, {"L": 32, "P": 96}],
+                         ids=["default", "L32", "P16-M64", "L128-P8", "a0.3-kerr-25", "a0",
+                              "L32-P96"])
+def test_kernel_reads_as_the_numpy_loop(cfg, monkeypatch):
+    # every width the kernel takes, the first the numpy loop takes, and 513
+    # rows, whose one-row tail tile is the kernel's; P = 96 is past any
+    # fixed scratch size of 64 paths
+    puf = create_puf("photonic", 1, {**cfg, "noise_sigma": 0.0})
+    bits = puf.random_challenges("kernel", 513)
+    with monkeypatch.context() as numpy_only:
+        numpy_only.setattr(photonic_module, "_compiled_cascade", None)
+        assert photonic_module.kernel_name() == "numpy"
+        ref = puf.raw_intensities(bits)
+    for width in range(1, KERNEL_ROWS + 2):
+        start = 7 * width
+        assert puf.raw_intensities(bits[start:start + width]).tobytes() == \
+            ref[start:start + width].tobytes(), width
+    assert puf.raw_intensities(bits).tobytes() == ref.tobytes()
+
+
+def test_copied_device_reads_from_its_own_arrays():
+    # the kernel takes the device's arrays by address; a pickled or
+    # deep-copied device must not keep the original's addresses
+    puf = create_puf("photonic", 1, {"noise_sigma": 0.0})
+    bits = puf.random_challenges("copies", 3)
+    ref = puf.raw_intensities(bits)
+    copies = [pickle.loads(pickle.dumps(puf)), copy.deepcopy(puf)]
+    del puf
+    gc.collect()
+    for twin in copies:
+        assert twin.raw_intensities(bits).tobytes() == ref.tobytes()
+        assert twin.raw_intensities(bits[:1]).tobytes() == ref[:1].tobytes()
+
+
+def test_reassigned_arrays_reach_the_kernel():
+    # the kernel holds the device's arrays by address; assigning new ones
+    # rebinds it, so a narrow read reads the same device as a wide one
+    puf = create_puf("photonic", 1, {"noise_sigma": 0.0})
+    other = create_puf("photonic", 2, {"noise_sigma": 0.0})
+    bits = puf.random_challenges("reassigned", KERNEL_ROWS)
+    for name in ("stages", "detect", "prefix_states"):
+        setattr(puf, name, getattr(other, name))
+    ref = other.raw_intensities(bits)
+    assert puf.raw_intensities(bits).tobytes() == ref.tobytes()
+    assert puf.raw_intensities(bits[:1]).tobytes() == ref[:1].tobytes()
+
+
+@pytest.mark.parametrize("case", ["read-only cache", "unknown CPU"])
+def test_kernel_build_that_cannot_succeed_starts_no_compiler(case, tmp_path, monkeypatch):
+    # a cache the process cannot write (a site-packages install owned by
+    # another user), or a CPU that a host-tuned build cannot be checked
+    # against, reads in numpy without starting the compiler
+    shutil.copy(Path(photonic_module.__file__).with_name("_cascade.c"), tmp_path)
+    cache = tmp_path / "__pycache__"
+    cache.mkdir()
+    cache.chmod(0o555)
+    def refuse(*args, **kwargs):
+        raise AssertionError("the compiler ran")
+    monkeypatch.setattr(photonic_module.subprocess, "run", refuse)
+    if case == "read-only cache":
+        # root may write anywhere, so the answer another user gets stands in
+        access = os.access
+        monkeypatch.setattr(os, "access", lambda path, mode, **kw:
+                            False if Path(path) == cache else access(path, mode, **kw))
+    else:
+        monkeypatch.setattr(photonic_module, "_host_cpu", lambda: None)
+    try:
+        assert photonic_module._load_kernel(tmp_path) is None
+    finally:
+        cache.chmod(0o755)
+    assert list(cache.iterdir()) == []
+
+
+_KERNEL_PROBE = """
+import subprocess
+def refuse(*args, **kwargs):
+    raise AssertionError("the compiler ran")
+subprocess.run = subprocess.Popen = refuse
+from pufstack.puf import photonic
+print(photonic.kernel_name())
+"""
+
+
+def test_second_import_reuses_the_cached_build():
+    # this process's import built or loaded the kernel, so a new one loads
+    # the same cached file without starting a process
+    src = str(Path(pufstack.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", _KERNEL_PROBE], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.split() == [photonic_module.kernel_name()]
+
+
+_NO_COMPILER = """
+import sys
+import pytest
+from pufstack.puf import photonic
+assert photonic.kernel_name() == "numpy"
+sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", sys.argv[1]]))
+"""
+
+
+def test_without_a_compiler_every_read_runs_in_numpy(tmp_path):
+    # no compiler on PATH: the import succeeds, and the pinned outputs of
+    # every subcommand come out of the numpy loop unchanged
+    root = Path(__file__).resolve().parent
+    src = str(Path(pufstack.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_COMPILER, f"{root / 'test_cli.py'}::TestOutputsPinned"],
+        capture_output=True, text=True, cwd=root.parent,
+        env={**os.environ, "PYTHONPATH": src, "PATH": str(tmp_path)})
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert " passed" in proc.stdout and "skipped" not in proc.stdout
 
 
 def test_scatter_is_a_view_of_the_folded_stages():

@@ -146,3 +146,10 @@ def test_permutation_deterministic():
 def test_permutation_rejects_empty():
     with pytest.raises(ValidationError):
         seeded_permutation(SEED, "perm", 0)
+
+
+@pytest.mark.parametrize("n", [3.0, True])
+def test_permutation_rejects_non_integer_lengths(n):
+    # 3.0 used to raise a bare TypeError, and True gave the permutation [0]
+    with pytest.raises(ValidationError):
+        seeded_permutation(SEED, "perm", n)

@@ -32,6 +32,12 @@ from a change of the code. Quartiles are the
 inclusive (linearly interpolated) ones of ``statistics.quantiles``.
 ``--out`` writes the ``BENCH_<pr>.json`` skeleton: ``method``, ``machine``
 and ``workloads``; the author adds ``what`` and ``claim``.
+
+Before the first pair the tool imports ``pufstack.puf.photonic`` once in
+each checkout, with the benchmark's interpreter, which also builds a
+compiled read kernel before any run is timed. ``machine`` records the kernel
+each side loaded, "compiled" or "numpy" (a checkout without the kernel reads
+"numpy"), so a side that fell back to numpy shows.
 """
 
 from __future__ import annotations
@@ -55,6 +61,8 @@ AS_MEASURED = re.compile(r"^as measured: ([0-9.]+) ops/s, op p50 ([0-9.]+) ms"
 RAW_METRICS = {"as_measured_ops_per_s": ("1/s", "higher"),
                "as_measured_op_p50_ms": ("ms", "lower")}
 SLOWDOWN = "host_slowdown"
+KERNEL_PROBE = ("import sys; sys.path.insert(0, 'src'); from pufstack.puf import photonic; "
+                "print(getattr(photonic, 'kernel_name', lambda: 'numpy')())")
 
 
 def bench_digest(checkout: Path) -> dict[str, str]:
@@ -86,6 +94,16 @@ def run_once(checkout: Path, command: list[str], workload: str, seed: int,
             metrics[SLOWDOWN] = float(raw.group(3))
     return {"metrics": metrics, "attempted": result["attempted"],
             "failed": result["failed"]}
+
+
+def photonic_kernel(checkout: Path, python: str) -> str:
+    """The photonic read kernel that ``checkout`` loads, from one import."""
+    proc = subprocess.run([python, "-c", KERNEL_PROBE], cwd=checkout,
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.exit(f"error: importing pufstack.puf.photonic in {checkout} exited "
+                 f"{proc.returncode}\n" + proc.stderr[-2000:])
+    return proc.stdout.strip()
 
 
 def quartiles(runs: list[float]) -> tuple[float, float]:
@@ -129,7 +147,7 @@ def compare(parent: list[float], change: list[float], better: str,
     return row
 
 
-def machine() -> dict:
+def machine(kernels: dict[str, str]) -> dict:
     cpu = platform.processor()
     try:
         model = re.search(r"^model name\s*:\s*(.+)$",
@@ -137,7 +155,8 @@ def machine() -> dict:
         cpu = model.group(1) if model else cpu
     except OSError:
         pass
-    info = {"cpu": cpu, "cores": os.cpu_count(), "python": platform.python_version()}
+    info = {"cpu": cpu, "cores": os.cpu_count(), "python": platform.python_version(),
+            "photonic_kernel": kernels}
     for package in ("numpy", "cryptography"):
         try:
             info[package] = metadata.version(package)
@@ -210,6 +229,10 @@ def main(argv=None) -> int:
         sys.exit(f"error: the two bench/ trees differ ({', '.join(differ)}); "
                  "both sides must run one benchmark")
 
+    kernels = {side: photonic_kernel(checkout, spec["command"][0])
+               for side, checkout in (("parent", parent), ("change", change))}
+    print(f"photonic kernel: parent {kernels['parent']}, change {kernels['change']}",
+          file=sys.stderr)
     seeds = [args.seed_base + i for i in range(args.pairs)]
     runs = {w: {"parent": [], "change": []} for w in workloads}
     for i, seed in enumerate(seeds):
@@ -246,7 +269,7 @@ def main(argv=None) -> int:
         report(w, record)
 
     if args.out:
-        skeleton = {"method": method(args, seeds, argv), "machine": machine(),
+        skeleton = {"method": method(args, seeds, argv), "machine": machine(kernels),
                     "workloads": records}
         args.out.write_text(json.dumps(skeleton, indent=1) + "\n")
     return 0
